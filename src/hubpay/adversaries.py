@@ -1,173 +1,223 @@
-"""Active adversarial moves driven by scripted behavior directives.
+"""Scripted adversaries: a hub and a wallet that deviate on command.
 
-Passive deviations (withhold a secret, withhold a receipt, submit a stale
-receipt) live as hooks inside the hub and wallet cores. The attacks here
-need to forge or replay whole messages and on-chain claims, so they run as
-an extra per-tick pass over any actor whose behavior set demands them.
-Every attack is one-shot and records its outcome in the actor's trace.
+``HubCore`` and ``WalletCore`` are honest only. Every scripted behaviour
+lives here, in subclasses that override the cores' named hooks (forward a
+promise, send a receipt, reveal or forward a secret, accept or open a
+close) and add ``attack``, a per-tick pass that forges or replays whole
+messages and on-chain claims. The simulation builds these classes for every
+actor and turns behaviours on through ``behaviors``, at start or mid-run;
+with none set each class answers every hook as the honest core does. Every
+active attack is one-shot and records its outcome in the actor's trace.
 """
 
 from __future__ import annotations
 
+from .channel import ChannelState
 from .crypto import hash_commit, new_preimage, sign
 from .errors import HubpayError
-from .hub import ROUTE_SETTLED_IN, HubCore
-from .messages import Promise
-from .wallet import OUT_PAID, OUT_RECEIVED, WalletCore
+from .hub import ROUTE_SETTLED_IN, HubCore, RouteContext
+from .ledger import STATUS_CLOSING, STATUS_OPEN, Ledger
+from .messages import Promise, Receipt
+from .wallet import OUT_PAID, OUT_RECEIVED, PaymentFlow, WalletCore
 from .wire import K_PROMISE, WireMessage
 
-
-def run_active_attacks(world, actor_id: str, core) -> None:
-    flags = world.adversary_state.setdefault(actor_id, {})
-    if isinstance(core, WalletCore):
-        if "OVERSPEND_PROMISE" in core.behaviors:
-            _wallet_overspend(world, core, flags)
-        if "REPLAY_PROMISE" in core.behaviors:
-            _wallet_replay(world, core, flags)
-        if "DOUBLE_CLAIM" in core.behaviors:
-            _wallet_double_claim(world, core, flags)
-    elif isinstance(core, HubCore):
-        if "REPLAY_PROMISE" in core.behaviors:
-            _hub_replay(world, core, flags)
-        if "DOUBLE_CLAIM" in core.behaviors:
-            _hub_double_claim(world, core, flags)
+Outbox = list[tuple[str, WireMessage]]
 
 
-def _other_client(world, me: str) -> str | None:
-    others = sorted(c for c in world.wallets if c != me)
-    return others[0] if others else None
+class ScriptedHub(HubCore):
+    """A hub that misbehaves as its ``behaviors`` direct."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.behaviors: set[str] = set()
+        self.attacks_done: set[str] = set()
+
+    def _forward_promise(self, out_state: ChannelState, incoming: Promise,
+                         amount: int, expiry: int, now: int) -> Promise:
+        if "OVERSPEND_PROMISE" not in self.behaviors:
+            return super()._forward_promise(out_state, incoming, amount, expiry, now)
+        # sign a forwarded promise far beyond the route's backing,
+        # bypassing the hub's own capacity accounting
+        amount = out_state.available_balance() + incoming.amount + 1_000
+        outgoing = Promise(out_state.params.channel_id, self.config.hub_id,
+                           out_state.next_out_index, amount, incoming.hashlock, expiry)
+        outgoing = outgoing.with_sig(sign(self.sk_for(out_state.params.ledger_id),
+                                          outgoing.signing_bytes))
+        out_state.next_out_index += 1
+        return outgoing
+
+    def _should_send_receipt(self) -> bool:
+        return "WITHHOLD_RECEIPT" not in self.behaviors
+
+    def _should_forward_secret(self, ctx: RouteContext) -> bool:
+        return "WITHHOLD_SECRET" not in self.behaviors
+
+    def _accept_close(self, src: str, state: ChannelState,
+                      balances: dict[str, int], now: int) -> bool:
+        if "STALE_RECEIPT_DISPUTE" in self.behaviors:
+            # race the client to the contract with an understated receipt
+            self.initiate_close(src, now)
+            return False
+        if self.behaviors:
+            # a misbehaving hub stonewalls cooperative closes
+            self._note("close_refused", channel=state.params.channel_id)
+            return False
+        return super()._accept_close(src, state, balances, now)
+
+    def _initiate_receipt_choice(self, state: ChannelState) -> Receipt | None:
+        if "STALE_RECEIPT_DISPUTE" in self.behaviors and state.first_receipt_sent:
+            # understate the counterparty's credit with an old self-issued receipt
+            return state.first_receipt_sent
+        return super()._initiate_receipt_choice(state)
+
+    def attack(self, now: int) -> Outbox:
+        """Run the active attacks the behaviours demand; the caller sends
+        the returned outbox."""
+        outbox: Outbox = []
+        if "REPLAY_PROMISE" in self.behaviors and "replay" not in self.attacks_done:
+            outbox += self._replay()
+        if "DOUBLE_CLAIM" in self.behaviors and "double_claim" not in self.attacks_done:
+            self._double_claim()
+        return outbox
+
+    def _replay(self) -> Outbox:
+        for hashlock in sorted(self.routes):
+            ctx = self.routes[hashlock]
+            if ctx.state == ROUTE_SETTLED_IN:
+                self.attacks_done.add("replay")
+                payee = self.channels[ctx.out_channel].params.client_id
+                self._note("attack_replay", payment=ctx.payment_id)
+                return [(payee, WireMessage(K_PROMISE, {
+                    "payment_id": ctx.payment_id,
+                    "promise": ctx.out_promise.to_jsonable(),
+                }))]
+        return []
+
+    def _double_claim(self) -> None:
+        """The hub's incoming credit is already receipted; submit that
+        receipt in a dispute and then claim the covered incoming promise."""
+        for hashlock in sorted(self.routes):
+            ctx = self.routes[hashlock]
+            if ctx.state == ROUTE_SETTLED_IN and ctx.preimage is not None:
+                state = self.channels[ctx.in_channel]
+                _claim_covered_promise(self, self.ledgers[state.params.ledger_id], state,
+                                       self.config.hub_id, ctx.in_promise, ctx.preimage,
+                                       ctx.payment_id)
+                return
 
 
-def _wallet_overspend(world, wallet: WalletCore, flags: dict) -> None:
-    if flags.get("overspend_done") or wallet.state is None:
-        return
-    target = _other_client(world, wallet.client_id)
-    if target is None or wallet.state.my_deposit == 0:
-        return
-    flags["overspend_done"] = True
-    state = wallet.state
-    amount = state.available_balance() + 10_000
-    hashlock = hash_commit(new_preimage(wallet.rng))
-    promise = Promise(state.params.channel_id, wallet.client_id,
-                      state.next_out_index, amount, hashlock, world.tick + 40)
-    promise = promise.with_sig(sign(wallet.sk, promise.signing_bytes))
-    wallet._note("attack_overspend", amount=amount)
-    world.send(wallet.client_id, "hub", WireMessage(K_PROMISE, {
-        "payment_id": f"atk-over-{wallet.client_id}",
-        "payee": target,
-        "promise": promise.to_jsonable(),
-    }))
+class ScriptedWallet(WalletCore):
+    """A wallet that misbehaves as its ``behaviors`` direct."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.behaviors: set[str] = set()
+        self.attacks_done: set[str] = set()
+        # the client an overspending promise is addressed to
+        self.overspend_payee: str | None = None
 
-def _wallet_replay(world, wallet: WalletCore, flags: dict) -> None:
-    if flags.get("replay_done"):
-        return
-    for flow in wallet.flows.values():
-        if flow.role == "sender" and flow.outcome == OUT_PAID and flow.promise is not None:
-            flags["replay_done"] = True
-            wallet._note("attack_replay", payment=flow.payment_id)
-            world.send(wallet.client_id, "hub", WireMessage(K_PROMISE, {
-                "payment_id": flow.payment_id,
-                "payee": flow.counterparty,
-                "promise": flow.promise.to_jsonable(),
-            }))
+    def _should_reveal_secret(self, flow: PaymentFlow) -> bool:
+        return "WITHHOLD_SECRET" not in self.behaviors
+
+    def _should_send_receipt(self, flow: PaymentFlow) -> bool:
+        return "WITHHOLD_RECEIPT" not in self.behaviors
+
+    def _close_open_channel(self, now: int) -> Outbox:
+        if "STALE_RECEIPT_DISPUTE" not in self.behaviors:
+            return super()._close_open_channel(now)
+        if not self.dispute_initiated:
+            # skip cooperation; open the dispute with an old self-issued
+            # receipt that understates this wallet's own debt
+            self.dispute_initiated = True
+            try:
+                self.ledger.initiate_dispute(self.channel_id, self.client_id,
+                                             self.state.first_receipt_sent)
+                self._note("dispute_opened_stale", channel=self.channel_id)
+            except HubpayError as exc:
+                self._note("dispute_open_failed", code=exc.code)
+        return []
+
+    def attack(self, now: int) -> Outbox:
+        """Run the active attacks the behaviours demand; the caller sends
+        the returned outbox."""
+        outbox: Outbox = []
+        if "OVERSPEND_PROMISE" in self.behaviors and "overspend" not in self.attacks_done:
+            outbox += self._overspend(now)
+        if "REPLAY_PROMISE" in self.behaviors and "replay" not in self.attacks_done:
+            outbox += self._replay()
+        if "DOUBLE_CLAIM" in self.behaviors and "double_claim" not in self.attacks_done:
+            self._double_claim()
+        return outbox
+
+    def _overspend(self, now: int) -> Outbox:
+        state = self.state
+        if state is None or self.overspend_payee is None or state.my_deposit == 0:
+            return []
+        self.attacks_done.add("overspend")
+        amount = state.available_balance() + 10_000
+        hashlock = hash_commit(new_preimage(self.rng))
+        promise = Promise(state.params.channel_id, self.client_id,
+                          state.next_out_index, amount, hashlock, now + 40)
+        promise = promise.with_sig(sign(self.sk, promise.signing_bytes))
+        self._note("attack_overspend", amount=amount)
+        return [("hub", WireMessage(K_PROMISE, {
+            "payment_id": f"atk-over-{self.client_id}",
+            "payee": self.overspend_payee,
+            "promise": promise.to_jsonable(),
+        }))]
+
+    def _replay(self) -> Outbox:
+        for flow in self.flows.values():
+            if flow.role == "sender" and flow.outcome == OUT_PAID and flow.promise is not None:
+                self.attacks_done.add("replay")
+                self._note("attack_replay", payment=flow.payment_id)
+                return [("hub", WireMessage(K_PROMISE, {
+                    "payment_id": flow.payment_id,
+                    "payee": flow.counterparty,
+                    "promise": flow.promise.to_jsonable(),
+                }))]
+        return []
+
+    def _double_claim(self) -> None:
+        """The covered-claim attack: submit the newest receipt (whose
+        cumulative credit already includes a resolved promise), then claim
+        that promise."""
+        if self.state is None:
             return
+        for flow in self.flows.values():
+            if flow.role == "payee" and flow.outcome == OUT_RECEIVED and flow.promise is not None:
+                _claim_covered_promise(self, self.ledger, self.state, self.client_id,
+                                       flow.promise, self.state.secrets.get(flow.promise.hashlock),
+                                       flow.payment_id)
+                return
 
 
-def _wallet_double_claim(world, wallet: WalletCore, flags: dict) -> None:
-    """The covered-claim attack: submit the newest receipt (whose cumulative
-    credit already includes a resolved promise), then claim that promise."""
-    if flags.get("double_claim_done") or wallet.state is None:
-        return
-    target = None
-    for flow in wallet.flows.values():
-        if flow.role == "payee" and flow.outcome == OUT_RECEIVED and flow.promise is not None:
-            target = flow
-            break
-    if target is None:
-        return
-    contract = wallet.ledger.contracts.get(wallet.channel_id)
+def _claim_covered_promise(core: ScriptedHub | ScriptedWallet, ledger: Ledger,
+                           state: ChannelState, party_id: str, promise: Promise,
+                           preimage: bytes | None, payment_id: str) -> None:
+    """Open a dispute with the latest receipt held, whose credit covers
+    ``promise``; once the channel is closing, claim the promise anyway."""
+    channel_id = state.params.channel_id
+    contract = ledger.contracts.get(channel_id)
     if contract is None:
         return
-    if contract.status == "OPEN":
-        if not flags.get("double_claim_dispute"):
-            flags["double_claim_dispute"] = True
+    if contract.status == STATUS_OPEN:
+        if "double_claim_dispute" not in core.attacks_done:
+            core.attacks_done.add("double_claim_dispute")
             try:
-                wallet.ledger.initiate_dispute(wallet.channel_id, wallet.client_id,
-                                               wallet.state.last_receipt_received)
-                wallet._note("attack_double_claim_dispute")
+                ledger.initiate_dispute(channel_id, party_id, state.last_receipt_received)
+                core._note("attack_double_claim_dispute")
             except HubpayError as exc:
-                wallet._note("attack_dispute_failed", code=exc.code)
+                core._note("attack_dispute_failed", code=exc.code)
         return
-    if contract.status != "CLOSING":
+    if contract.status != STATUS_CLOSING:
         return
-    flags["double_claim_done"] = True
-    promise = target.promise
-    preimage = wallet.state.secrets.get(promise.hashlock)
+    core.attacks_done.add("double_claim")
     if preimage is None:
         return
     try:
-        wallet.ledger.claim_promise(wallet.channel_id, wallet.client_id,
-                                    promise, preimage,
-                                    wallet.state.inclusion_proof(promise.hashlock))
-        wallet._note("attack_double_claim_succeeded", payment=target.payment_id)
+        ledger.claim_promise(channel_id, party_id, promise, preimage,
+                             state.inclusion_proof(promise.hashlock))
+        core._note("attack_double_claim_succeeded", payment=payment_id)
     except HubpayError as exc:
-        wallet._note("attack_double_claim_rejected", code=exc.code,
-                     payment=target.payment_id)
-
-
-def _hub_replay(world, hub: HubCore, flags: dict) -> None:
-    if flags.get("replay_done"):
-        return
-    for hashlock in sorted(hub.routes):
-        ctx = hub.routes[hashlock]
-        if ctx.state == ROUTE_SETTLED_IN:
-            flags["replay_done"] = True
-            payee = hub.channels[ctx.out_channel].params.client_id
-            hub._note("attack_replay", payment=ctx.payment_id)
-            world.send("hub", payee, WireMessage(K_PROMISE, {
-                "payment_id": ctx.payment_id,
-                "promise": ctx.out_promise.to_jsonable(),
-            }))
-            return
-
-
-def _hub_double_claim(world, hub: HubCore, flags: dict) -> None:
-    """Hub variant: its incoming credit is already receipted; submit that
-    receipt in a dispute and then claim the covered incoming promise."""
-    if flags.get("double_claim_done"):
-        return
-    target = None
-    for hashlock in sorted(hub.routes):
-        ctx = hub.routes[hashlock]
-        if ctx.state == ROUTE_SETTLED_IN and ctx.preimage is not None:
-            target = ctx
-            break
-    if target is None:
-        return
-    state = hub.channels[target.in_channel]
-    ledger = hub.ledgers[state.params.ledger_id]
-    contract = ledger.contracts.get(target.in_channel)
-    if contract is None:
-        return
-    if contract.status == "OPEN":
-        if not flags.get("double_claim_dispute"):
-            flags["double_claim_dispute"] = True
-            try:
-                ledger.initiate_dispute(target.in_channel, hub.config.hub_id,
-                                        state.last_receipt_received)
-                hub._note("attack_double_claim_dispute")
-            except HubpayError as exc:
-                hub._note("attack_dispute_failed", code=exc.code)
-        return
-    if contract.status != "CLOSING":
-        return
-    flags["double_claim_done"] = True
-    try:
-        ledger.claim_promise(target.in_channel, hub.config.hub_id,
-                             target.in_promise, target.preimage,
-                             state.inclusion_proof(target.hashlock))
-        hub._note("attack_double_claim_succeeded", payment=target.payment_id)
-    except HubpayError as exc:
-        hub._note("attack_double_claim_rejected", code=exc.code,
-                  payment=target.payment_id)
+        core._note("attack_double_claim_rejected", code=exc.code, payment=payment_id)

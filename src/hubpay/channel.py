@@ -360,16 +360,21 @@ class ChannelState:
 
     # -- expiry and on-chain resolution --------------------------------------
 
+    def drop_promise(self, hashlock: bytes) -> Promise:
+        """Forget an outgoing promise that can no longer be paid off-chain
+        (it expired, or the hub refused it); its capacity returns to the
+        owner."""
+        promise = self.pending_out.pop(hashlock)
+        if self.params.mode == MODE_SERIALIZED and not self.out_frozen:
+            # the slot index is reusable; the promise incurred no liability
+            self.next_out_index = promise.index
+        return promise
+
     def expire_pending(self, now: int) -> list[Promise]:
         """Drop every pending promise with expiry <= now; capacity returns
         to the sender automatically."""
-        dropped: list[Promise] = []
-        for hashlock in [h for h, p in self.pending_out.items() if p.expiry <= now]:
-            promise = self.pending_out.pop(hashlock)
-            dropped.append(promise)
-            if self.params.mode == MODE_SERIALIZED and not self.out_frozen:
-                # the slot index is reusable; the promise incurred no liability
-                self.next_out_index = promise.index
+        expired = [h for h, p in self.pending_out.items() if p.expiry <= now]
+        dropped = [self.drop_promise(h) for h in expired]
         for hashlock in [h for h, p in self.pending_in.items() if p.expiry <= now]:
             promise = self.pending_in.pop(hashlock)
             dropped.append(promise)

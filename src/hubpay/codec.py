@@ -36,39 +36,16 @@ KNOWN_TAGS = {
 }
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, bool):
-        # bool is an int subclass; keep it explicit and stable
-        return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return value
-    if value is None:
-        return None
+def _hex_bytes(value: Any) -> str:
     if isinstance(value, (bytes, bytearray)):
         return value.hex()
-    if isinstance(value, Mapping):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
     raise EncodingError(f"unsupported field type {type(value).__name__}")
 
 
 def canonical_json(fields: Mapping[str, Any]) -> bytes:
-    """Key-sorted minified JSON bytes for ``fields``."""
-    try:
-        # most callers pass already-plain values; serialize directly
-        return json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("ascii")
-    except (TypeError, ValueError):
-        pass
-    try:
-        plain = _jsonable(fields)
-    except EncodingError:
-        raise
-    except Exception as exc:
-        raise EncodingError(str(exc)) from exc
-    return json.dumps(plain, sort_keys=True, separators=(",", ":")).encode("ascii")
+    """Key-sorted minified JSON bytes for ``fields``; bytes become hex."""
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"),
+                      default=_hex_bytes).encode("ascii")
 
 
 def canonical_encode(tag: bytes, fields: Mapping[str, Any]) -> bytes:

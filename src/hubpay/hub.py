@@ -13,21 +13,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
-from . import crypto
+from . import crypto, watchdog
 from .channel import ChannelState, close_balances
 from .crypto import PrivateKey, PublicKey, generate_keypair
 from .errors import HubpayError, RecoveryError
-from .ledger import (
-    EV_CLAIMED,
-    EV_CLOSED,
-    EV_DEPOSITED,
-    EV_DISPUTE_OPENED,
-    EV_RECEIPT_SUBMITTED,
-    Ledger,
-    STATUS_CLOSING,
-    STATUS_OPEN,
-)
+from .ledger import EV_CLOSED, STATUS_OPEN, Ledger
 from .messages import (
     MODE_CONCURRENT,
     MODES,
@@ -188,8 +180,6 @@ class HubCore:
         self.channel_counter = 0
         self.fees_accrued = 0
         self.closed_channels: dict[str, dict] = {}
-        # claims this hub performed: hashlock -> promise jsonable (for proofs)
-        self.claims_made: dict[bytes, Promise] = {}
         self.finalize_submitted: set[str] = set()
         # CONCURRENT channels holding credit that no receipt acknowledges
         # yet; derived from the channel books, and rebuilt from them on load
@@ -205,8 +195,6 @@ class HubCore:
             K_RECEIPT: self._on_receipt,
             K_CLOSE_REQUEST: self._on_close_request,
         }
-        # scripted deviations from the honest state machine; empty = honest
-        self.behaviors: set[str] = set()
 
     # -- helpers ---------------------------------------------------------------
 
@@ -317,9 +305,8 @@ class HubCore:
         delta = self.config.claim_margin_delta
         reason = in_state.verify_promise(promise, now, min_margin=2 * delta)
         if reason is not None:
-            code = "ExpiryTooSoon" if reason == "ExpiryTooSoon" else reason
             self._note("promise_rejected", payment=payment_id, reason=reason, sender=src)
-            return [(src, error_message(code, "promise rejected", payment_id=payment_id))]
+            return [(src, error_message(reason, "promise rejected", payment_id=payment_id))]
         out_state = self.channel_of(payee)
         if out_state is None or out_state.params.channel_id in self.closed_channels:
             return [(src, error_message("NoRoute", f"no open channel for {payee}",
@@ -336,22 +323,9 @@ class HubCore:
             self._note("liquidity_exhausted", payment=payment_id, payee=payee)
             return [(src, error_message("HubLiquidityExhausted", "payee channel underfunded",
                                         payment_id=payment_id))]
-        out_expiry = promise.expiry - delta
         try:
-            if "OVERSPEND_PROMISE" in self.behaviors:
-                # sign a forwarded promise far beyond the route's backing,
-                # bypassing the hub's own capacity accounting
-                out_amount = out_state.available_balance() + promise.amount + 1_000
-                outgoing = Promise(out_state.params.channel_id, self.config.hub_id,
-                                   out_state.next_out_index, out_amount,
-                                   promise.hashlock, out_expiry)
-                outgoing = outgoing.with_sig(crypto.sign(
-                    self.sk_for(out_state.params.ledger_id), outgoing.signing_bytes))
-                out_state.next_out_index += 1
-            else:
-                outgoing = out_state.promise_raw(
-                    out_amount, promise.hashlock, out_expiry,
-                    self.sk_for(out_state.params.ledger_id), now)
+            outgoing = self._forward_promise(out_state, promise, out_amount,
+                                             promise.expiry - delta, now)
         except HubpayError as exc:
             return [(src, error_message(exc.code, exc.detail, payment_id=payment_id))]
         in_state.accept_promise(promise)
@@ -371,13 +345,33 @@ class HubCore:
             "promise": outgoing.to_jsonable(),
         }))]
 
-    # Adversary hooks; the honest hub always participates.
+    # Hooks a scripted adversary overrides (see adversaries.py); each
+    # returns the honest answer here.
+
+    def _forward_promise(self, out_state: ChannelState, incoming: Promise,
+                         amount: int, expiry: int, now: int) -> Promise:
+        return out_state.promise_raw(amount, incoming.hashlock, expiry,
+                                     self.sk_for(out_state.params.ledger_id), now)
 
     def _should_send_receipt(self) -> bool:
-        return "WITHHOLD_RECEIPT" not in self.behaviors
+        return True
 
     def _should_forward_secret(self, ctx: RouteContext) -> bool:
-        return "WITHHOLD_SECRET" not in self.behaviors
+        return True
+
+    def _accept_close(self, src: str, state: ChannelState,
+                      balances: dict[str, int], now: int) -> bool:
+        channel_id = state.params.channel_id
+        busy = any(ctx.state not in TERMINAL_ROUTES
+                   and channel_id in (ctx.in_channel, ctx.out_channel)
+                   for ctx in self.routes.values())
+        if busy or balances != close_balances(state):
+            self._note("close_refused", channel=channel_id)
+            return False
+        return True
+
+    def _initiate_receipt_choice(self, state: ChannelState) -> Receipt | None:
+        return state.last_receipt_received
 
     def _on_secret(self, src: str, body: dict, now: int) -> list[tuple[str, WireMessage]]:
         payment_id = body.get("payment_id")
@@ -473,17 +467,6 @@ class HubCore:
                 self._note("settled_in", payment=ctx.payment_id)
         return []
 
-    def _accept_close(self, state: ChannelState, balances: dict[str, int]) -> bool:
-        if self.behaviors:
-            # a misbehaving hub stonewalls cooperative closes
-            return False
-        channel_id = state.params.channel_id
-        for ctx in self.routes.values():
-            if (ctx.state not in TERMINAL_ROUTES
-                    and channel_id in (ctx.in_channel, ctx.out_channel)):
-                return False
-        return balances == close_balances(state)
-
     def _on_close_request(self, src: str, body: dict, now: int) -> list[tuple[str, WireMessage]]:
         channel_id = body["channel_id"]
         state = self.channels.get(channel_id)
@@ -494,12 +477,7 @@ class HubCore:
         client_sig = crypto.Signature(state.params.scheme, bytes.fromhex(body["sig"]))
         if not crypto.verify(state.params.client_pk, record.signing_bytes, client_sig):
             return [(src, error_message("BadSignature", "closing record signature"))]
-        if "STALE_RECEIPT_DISPUTE" in self.behaviors:
-            # race the client to the contract with an understated receipt
-            self.initiate_close(src, now)
-            return [(src, error_message("ParamsMismatch", "balance disagreement"))]
-        if not self._accept_close(state, record.balance_map):
-            self._note("close_refused", channel=channel_id)
+        if not self._accept_close(src, state, record.balance_map, now):
             return [(src, error_message("ParamsMismatch", "balance disagreement"))]
         ledger = self.ledgers[state.params.ledger_id]
         hub_sig = crypto.sign(self.sk_for(state.params.ledger_id), record.signing_bytes)
@@ -557,38 +535,28 @@ class HubCore:
         if state is None:
             return
         hub_id = self.config.hub_id
-        if event.kind == EV_DEPOSITED:
-            if payload["party"] == hub_id:
-                state.my_deposit += payload["amount"]
-            else:
-                state.peer_deposit += payload["amount"]
-        elif event.kind == EV_CLAIMED and not payload.get("refresh"):
-            hashlock = bytes.fromhex(payload["hashlock"])
+        claimed = watchdog.book_event(state, hub_id, event)
+        if not self.replaying:
+            # replay only re-learns the books; the live run already answered
+            watchdog.answer_event(ledger, state, hub_id, event,
+                                  partial(self._note, channel=channel_id))
+        if claimed is not None:
+            ctx = self.routes.get(claimed)
+            if ctx is None:
+                return
             if payload["claimant"] == hub_id:
-                state.note_self_claimed(hashlock, payload["amount"])
-                ctx = self.routes.get(hashlock)
-                if ctx is not None and ctx.state == ROUTE_SECRET_HELD:
+                if ctx.state == ROUTE_SECRET_HELD:
                     self._route_done(ctx, ROUTE_SETTLED_OUT)
                     self.fees_accrued += ctx.in_promise.amount - ctx.out_promise.amount
                     self._note("settled_onchain", payment=ctx.payment_id)
-            else:
-                state.note_peer_claimed(hashlock, payload["amount"])
-                ctx = self.routes.get(hashlock)
-                if (ctx is not None and ctx.out_channel == channel_id
-                        and ctx.state == ROUTE_AWAIT_SECRET):
-                    # the payee claimed our outgoing promise on-chain and
-                    # published the preimage; collect the incoming leg
-                    ctx.preimage = bytes.fromhex(payload["preimage"])
-                    ctx.state = ROUTE_SECRET_HELD
-                    self._note("preimage_harvested", payment=ctx.payment_id)
-                    if self._should_forward_secret(ctx):
-                        self._tick_outbox.append(self._forward_secret(ctx))
-        elif event.kind == EV_DISPUTE_OPENED:
-            self._respond_with_best_receipt(ledger, state)
-        elif event.kind == EV_RECEIPT_SUBMITTED:
-            if payload["party"] != hub_id:
-                self._respond_with_best_receipt(ledger, state)
-                self._refresh_claims(ledger, state)
+            elif ctx.out_channel == channel_id and ctx.state == ROUTE_AWAIT_SECRET:
+                # the payee claimed our outgoing promise on-chain and
+                # published the preimage; collect the incoming leg
+                ctx.preimage = bytes.fromhex(payload["preimage"])
+                ctx.state = ROUTE_SECRET_HELD
+                self._note("preimage_harvested", payment=ctx.payment_id)
+                if self._should_forward_secret(ctx):
+                    self._tick_outbox.append(self._forward_secret(ctx))
         elif event.kind == EV_CLOSED:
             self.closed_channels[channel_id] = payload["settlement"]
             self._note("channel_closed", channel=channel_id,
@@ -602,58 +570,6 @@ class HubCore:
         ctx.state = state
         self.active_routes.discard(ctx.hashlock)
 
-    def _dispute_receipt_choice(self, state: ChannelState) -> Receipt | None:
-        return state.last_receipt_received
-
-    def _respond_with_best_receipt(self, ledger: Ledger, state: ChannelState) -> None:
-        contract = ledger.contracts.get(state.params.channel_id)
-        if contract is None or contract.status != STATUS_CLOSING or contract.dispute is None:
-            return
-        mine = self._dispute_receipt_choice(state)
-        if mine is None:
-            return
-        recorded = contract.dispute.receipts.get(mine.issuer)
-        if recorded is not None and recorded[0].index >= mine.index:
-            return
-        try:
-            self._ledger_call(ledger.respond_dispute, state.params.channel_id,
-                              self.config.hub_id, mine)
-            self._note("dispute_response", channel=state.params.channel_id,
-                       index=mine.index)
-        except HubpayError as exc:
-            self._note("dispute_response_failed", channel=state.params.channel_id,
-                       code=exc.code)
-
-    def _refresh_claims(self, ledger: Ledger, state: ChannelState) -> None:
-        if state.params.mode != MODE_CONCURRENT:
-            return
-        contract = ledger.contracts.get(state.params.channel_id)
-        if contract is None or contract.dispute is None:
-            return
-        for hashlock, record in contract.claimed.items():
-            if record.claimant != self.config.hub_id:
-                continue
-            recorded = contract.dispute.receipts.get(record.sender)
-            if recorded is None or record.basis_index == recorded[0].index:
-                continue
-            held = state.last_receipt_received
-            if held is None or held.signing_bytes != recorded[0].signing_bytes:
-                continue
-            promise = self.claims_made.get(hashlock)
-            if promise is None:
-                continue
-            try:
-                idx = state.last_receipt_leaves.index(promise.digest)
-            except ValueError:
-                continue
-            proof = crypto.merkle_prove(state.last_receipt_leaves, idx)
-            try:
-                self._ledger_call(ledger.refresh_claim_proof, state.params.channel_id,
-                                  self.config.hub_id, hashlock, (held, proof))
-                self._note("claim_reproved", channel=state.params.channel_id)
-            except HubpayError as exc:
-                self._note("claim_reprove_failed", code=exc.code)
-
     def _claim_endangered_routes(self, now: int) -> None:
         delta = self.config.claim_margin_delta
         for hashlock in sorted(self.active_routes):
@@ -666,17 +582,11 @@ class HubCore:
                 continue
             state = self.channels[ctx.in_channel]
             ledger = self.ledgers[state.params.ledger_id]
-            proof = None
-            contract = ledger.contracts.get(ctx.in_channel)
-            if (contract is not None and contract.dispute is not None
-                    and contract.dispute.receipts.get(ctx.in_promise.sender)):
-                proof = state.inclusion_proof(hashlock)
             ctx.claim_submitted = True
-            self.claims_made[hashlock] = ctx.in_promise
             try:
                 self._ledger_call(ledger.claim_promise, ctx.in_channel,
-                                  self.config.hub_id, ctx.in_promise,
-                                  ctx.preimage, proof)
+                                  self.config.hub_id, ctx.in_promise, ctx.preimage,
+                                  watchdog.claim_proof(ledger, state, ctx.in_promise))
                 self._note("claimed_incoming", payment=ctx.payment_id,
                            channel=ctx.in_channel)
             except HubpayError as exc:
@@ -695,27 +605,15 @@ class HubCore:
                 self._note("route_lost", payment=ctx.payment_id)
 
     def _progress_disputes(self, now: int) -> None:
+        if self.replaying:
+            return  # settlements are ledger calls, which replay suppresses
         for channel_id in sorted(self.channels):
+            if channel_id in self.finalize_submitted:
+                continue
             state = self.channels[channel_id]
-            ledger = self.ledgers[state.params.ledger_id]
-            contract = ledger.contracts.get(channel_id)
-            if contract is None or contract.status != STATUS_CLOSING:
-                continue
-            if contract.dispute is None or channel_id in self.finalize_submitted:
-                continue
-            if now >= contract.dispute.opened_at + state.params.dispute_window:
+            if watchdog.finalize_when_due(self.ledgers[state.params.ledger_id], state,
+                                          now, self._note):
                 self.finalize_submitted.add(channel_id)
-                try:
-                    self._ledger_call(ledger.finalize_settlement, channel_id)
-                    self._note("finalized", channel=channel_id)
-                except HubpayError as exc:
-                    self._note("finalize_failed", channel=channel_id, code=exc.code)
-
-    def _initiate_receipt_choice(self, state: ChannelState) -> Receipt | None:
-        if "STALE_RECEIPT_DISPUTE" in self.behaviors and state.first_receipt_sent:
-            # understate the counterparty's credit with an old self-issued receipt
-            return state.first_receipt_sent
-        return state.last_receipt_received
 
     def initiate_close(self, client_id: str, now: int) -> None:
         """Hub-initiated unilateral close of a client channel."""
@@ -746,8 +644,6 @@ class HubCore:
             "channel_counter": self.channel_counter,
             "fees_accrued": self.fees_accrued,
             "closed_channels": dict(sorted(self.closed_channels.items())),
-            "claims_made": {h.hex(): p.to_jsonable()
-                            for h, p in sorted(self.claims_made.items())},
             "finalize_submitted": sorted(self.finalize_submitted),
         }
 
@@ -772,8 +668,6 @@ class HubCore:
             self.channel_counter = int(snap["channel_counter"])
             self.fees_accrued = int(snap["fees_accrued"])
             self.closed_channels = dict(snap["closed_channels"])
-            self.claims_made = {bytes.fromhex(h): Promise.from_jsonable(p)
-                                for h, p in snap["claims_made"].items()}
             self.finalize_submitted = set(snap["finalize_submitted"])
             self.receipts_owed = {cid for cid, state in self.channels.items()
                                   if state.receipt_owed()}

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from collections import Counter
 
 from .crypto import MerkleProof
 from .errors import HubpayError, NotFound
@@ -48,6 +49,8 @@ class HubServer:
         self.config = config
         self.ledgers = ledgers
         self.hub = HubCore(config, ledgers, HubStore())
+        # the hub's notes, tallied per action, so its trace stays empty
+        self.note_counts: Counter[str] = Counter()
         self.lock = threading.Lock()
         self.tick_seconds = tick_seconds
         self.snapshot_path = snapshot_path
@@ -95,10 +98,16 @@ class HubServer:
                 for ledger_id in sorted(self.ledgers):
                     self.ledgers[ledger_id].advance_time(1)
                 streams = self._enqueue(self.hub.hub_tick(self._now()))
+                self._count_notes()
             self._flush(streams)
 
     def _now(self) -> int:
         return max(l.now for l in self.ledgers.values())
+
+    def _count_notes(self) -> None:
+        """Tally and clear the hub's notes; called under the lock."""
+        self.note_counts.update(note["action"] for note in self.hub.trace)
+        self.hub.trace.clear()
 
     def _enqueue(self, outbox) -> set[FrameStream]:
         """Queue an outbox on its destinations' streams; called under the
@@ -159,6 +168,7 @@ class HubServer:
                         # every frame of the last read is handled
                         outbox += self.hub.flush_receipts(now)
                     streams = self._enqueue(outbox)
+                    self._count_notes()
                 self._flush(streams)
         except OSError:
             pass

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from random import Random
 
 from . import codec
+from .adversaries import ScriptedHub, ScriptedWallet
 from .errors import HubpayError, ScenarioError
-from .hub import HubConfig, HubCore, HubStore
+from .hub import HubConfig, HubStore
 from .ledger import Ledger
 from .messages import MODE_SERIALIZED, MODES
-from .wallet import WalletConfig, WalletCore
+from .wallet import WalletConfig
 from .wire import K_PROMISE, K_RECEIPT, K_SECRET, WireMessage
 
 BEHAVIORS = {
@@ -133,9 +134,11 @@ class World:
             key_seed=f"hub-{self.seed}".encode(),
         )
         self.hub_store = HubStore()
-        self.hub: HubCore | None = HubCore(self.hub_config, self.ledgers, self.hub_store)
+        # scripted actors, so behaviours can also be turned on mid-run
+        self.hub: ScriptedHub | None = ScriptedHub(self.hub_config, self.ledgers,
+                                                   self.hub_store)
         self.hub.behaviors.update(hub_cfg.get("behaviors", []))
-        self.wallets: dict[str, WalletCore] = {}
+        self.wallets: dict[str, ScriptedWallet] = {}
         for client in scenario.get("clients", []):
             config = WalletConfig(
                 client_id=client["id"],
@@ -148,12 +151,15 @@ class World:
             )
             if config.mode not in MODES:
                 raise ScenarioError(f"unknown mode {config.mode}")
-            wallet = WalletCore(config, self.ledgers[client["ledger"]],
-                                rng=Random(f"{self.seed}:{client['id']}"))
+            wallet = ScriptedWallet(config, self.ledgers[client["ledger"]],
+                                    rng=Random(f"{self.seed}:{client['id']}"))
             wallet.behaviors.update(client.get("behaviors", []))
             # every step ends each actor's delivery batch with its tick
             wallet.coalesce_receipts = True
             self.wallets[client["id"]] = wallet
+        for client_id, wallet in self.wallets.items():
+            wallet.overspend_payee = min((c for c in self.wallets if c != client_id),
+                                         default=None)
         self.crashed: set[str] = set()
         self.bus: list[tuple[int, int, str, str, WireMessage]] = []
         self._bus_seq = 0
@@ -161,7 +167,6 @@ class World:
         self.tick = 0
         self.payment_seq = 0
         self.payments_attempted = 0
-        self.adversary_state: dict[str, dict] = {}
         self._ledger_trace_cursor: dict[str, int] = {lid: 0 for lid in self.ledgers}
         self._script_by_tick: dict[int, list[dict]] = {}
         for step in scenario.get("script", []):
@@ -295,18 +300,11 @@ class World:
             raise ScenarioError("only the hub supports restart")
         if "hub" not in self.crashed:
             return
-        self.hub = HubCore.recover(self.hub_config, self.ledgers, self.hub_store)
+        self.hub = ScriptedHub.recover(self.hub_config, self.ledgers, self.hub_store)
         self.hub.behaviors.update(self.scenario.get("hub", {}).get("behaviors", []))
         self.crashed.discard("hub")
         self.trace.append({"t": self.tick, "ev": "note", "actor": "hub",
                            "action": "recovered"})
-
-    # -- adversarial active attacks ------------------------------------------------------
-
-    def _adversary_actions(self, actor_id: str, core) -> None:
-        from . import adversaries
-
-        adversaries.run_active_attacks(self, actor_id, core)
 
     # -- main loop -------------------------------------------------------------------------
 
@@ -334,14 +332,14 @@ class World:
             self._apply_action(step)
         if self.hub is not None and "hub" not in self.crashed:
             self._send_all("hub", self.hub.hub_tick(self.tick))
-            self._adversary_actions("hub", self.hub)
+            self._send_all("hub", self.hub.attack(self.tick))
             self._drain_actor_trace("hub", self.hub)
         for client_id in sorted(self.wallets):
             if client_id in self.crashed:
                 continue
             wallet = self.wallets[client_id]
             self._send_all(client_id, wallet.client_tick(self.tick))
-            self._adversary_actions(client_id, wallet)
+            self._send_all(client_id, wallet.attack(self.tick))
             self._drain_actor_trace(client_id, wallet)
         self._trace_ledger_events()
         for ledger_id in sorted(self.ledgers):

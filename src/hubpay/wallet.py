@@ -13,20 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from . import crypto
+from . import crypto, watchdog
 from .channel import ChannelState, close_balances
 from .crypto import generate_keypair
 from .errors import HubpayError
-from .ledger import (
-    EV_CLAIMED,
-    EV_CLOSED,
-    EV_DEPOSITED,
-    EV_DISPUTE_OPENED,
-    EV_RECEIPT_SUBMITTED,
-    Ledger,
-    STATUS_CLOSING,
-    STATUS_OPEN,
-)
+from .ledger import EV_CLOSED, EV_DISPUTE_OPENED, STATUS_CLOSING, STATUS_OPEN, Ledger
 from .messages import (
     MODE_CONCURRENT,
     MODE_SERIALIZED,
@@ -116,7 +107,6 @@ class WalletCore:
         self.flow_by_hashlock: dict[bytes, str] = {}
         self.payment_log: list[dict] = []
         self.cursor = 0
-        self.claims_made: dict[bytes, Promise] = {}
         self.closing = False
         self.close_requested_at: int | None = None
         self.coop_sent_at: int | None = None
@@ -132,8 +122,6 @@ class WalletCore:
         # resolved secret is receipted at once.
         self.coalesce_receipts = False
         self.trace: list[dict] = []
-        # scripted deviations from the honest state machine; empty = honest
-        self.behaviors: set[str] = set()
 
     @property
     def client_id(self) -> str:
@@ -314,6 +302,10 @@ class WalletCore:
         if payment_id and payment_id in self.flows:
             flow = self.flows[payment_id]
             if flow.outcome is None and flow.state in (S_REQUESTED, S_PROMISED, P_INVOICED):
+                if flow.state == S_PROMISED and flow.promise.hashlock in self.state.pending_out:
+                    # the hub refused the promise; later receipts' roots must
+                    # not commit to it
+                    self.state.drop_promise(flow.promise.hashlock)
                 self._finish(flow, OUT_FAILED, code)
         elif code in ("ParamsMismatch", "BadSignature", "NotFound") and self.closing:
             self.coop_refused = True
@@ -391,13 +383,14 @@ class WalletCore:
             "promise": promise.to_jsonable(),
         }))]
 
-    # Adversary hooks; honest wallets always cooperate.
+    # Hooks a scripted adversary overrides (see adversaries.py); each
+    # returns the honest answer here.
 
     def _should_reveal_secret(self, flow: PaymentFlow) -> bool:
-        return "WITHHOLD_SECRET" not in self.behaviors
+        return True
 
     def _should_send_receipt(self, flow: PaymentFlow) -> bool:
-        return "WITHHOLD_RECEIPT" not in self.behaviors
+        return True
 
     def _on_promise(self, body: dict, now: int) -> list[tuple[str, WireMessage]]:
         flow = self.flows.get(body.get("payment_id"))
@@ -518,90 +511,24 @@ class WalletCore:
             payload = event.payload
             if payload.get("channel_id") != self.channel_id:
                 continue
-            if event.kind == EV_DEPOSITED:
-                if payload["party"] == self.client_id:
-                    self.state.my_deposit += payload["amount"]
-                else:
-                    self.state.peer_deposit += payload["amount"]
-            elif event.kind == EV_CLAIMED and not payload.get("refresh"):
-                hashlock = bytes.fromhex(payload["hashlock"])
+            claimed = watchdog.book_event(self.state, self.client_id, event)
+            watchdog.answer_event(self.ledger, self.state, self.client_id, event, self._note)
+            if claimed is not None:
+                flow = self.flows.get(self.flow_by_hashlock.get(claimed))
+                if flow is None:
+                    continue
                 if payload["claimant"] == self.client_id:
-                    self.state.note_self_claimed(hashlock, payload["amount"])
-                    payment_id = self.flow_by_hashlock.get(hashlock)
-                    if payment_id and payment_id in self.flows:
-                        self._finish(self.flows[payment_id], OUT_CLAIMED)
-                else:
-                    self.state.note_peer_claimed(hashlock, payload["amount"])
-                    payment_id = self.flow_by_hashlock.get(hashlock)
-                    if payment_id and payment_id in self.flows:
-                        flow = self.flows[payment_id]
-                        if flow.role == "sender":
-                            # hub collected on-chain; the payment went through
-                            self._finish(flow, OUT_PAID, "onchain")
+                    self._finish(flow, OUT_CLAIMED)
+                elif flow.role == "sender":
+                    # hub collected on-chain; the payment went through
+                    self._finish(flow, OUT_PAID, "onchain")
             elif event.kind == EV_DISPUTE_OPENED:
                 self.closing = True
-                self._respond_with_best_receipt()
-            elif event.kind == EV_RECEIPT_SUBMITTED:
-                if payload["party"] != self.client_id:
-                    self._respond_with_best_receipt()
-                    self._refresh_claims()
             elif event.kind == EV_CLOSED:
                 self.settlement = payload["settlement"]
                 self._note("settled", settlement=self.settlement)
                 for payment_id in sorted(self.open_flows):
                     self._finish(self.flows[payment_id], OUT_FAILED, "ChannelClosed")
-
-    def _dispute_receipt_choice(self) -> Receipt | None:
-        assert self.state is not None
-        return self.state.last_receipt_received
-
-    def _respond_with_best_receipt(self) -> None:
-        assert self.state is not None
-        contract = self.ledger.contracts.get(self.channel_id)
-        if contract is None or contract.status != STATUS_CLOSING or contract.dispute is None:
-            return
-        mine = self._dispute_receipt_choice()
-        if mine is None:
-            return
-        recorded = contract.dispute.receipts.get(mine.issuer)
-        if recorded is not None and recorded[0].index >= mine.index:
-            return
-        try:
-            self.ledger.respond_dispute(self.channel_id, self.client_id, mine)
-            self._note("dispute_response", index=mine.index)
-        except HubpayError as exc:
-            self._note("dispute_response_failed", code=exc.code)
-
-    def _refresh_claims(self) -> None:
-        assert self.state is not None
-        if self.state.params.mode != MODE_CONCURRENT:
-            return
-        contract = self.ledger.contracts.get(self.channel_id)
-        if contract is None or contract.dispute is None:
-            return
-        for hashlock, record in contract.claimed.items():
-            if record.claimant != self.client_id:
-                continue
-            recorded = contract.dispute.receipts.get(record.sender)
-            if recorded is None or record.basis_index == recorded[0].index:
-                continue
-            held = self.state.last_receipt_received
-            if held is None or held.signing_bytes != recorded[0].signing_bytes:
-                continue
-            promise = self.claims_made.get(hashlock)
-            if promise is None:
-                continue
-            try:
-                idx = self.state.last_receipt_leaves.index(promise.digest)
-            except ValueError:
-                continue
-            proof = crypto.merkle_prove(self.state.last_receipt_leaves, idx)
-            try:
-                self.ledger.refresh_claim_proof(self.channel_id, self.client_id,
-                                                hashlock, (held, proof))
-                self._note("claim_reproved")
-            except HubpayError as exc:
-                self._note("claim_reprove_failed", code=exc.code)
 
     def _expire(self, now: int) -> None:
         assert self.state is not None
@@ -628,16 +555,10 @@ class WalletCore:
         preimage = self.state.secrets.get(promise.hashlock)
         if preimage is None or now >= promise.expiry:
             return
-        proof = None
-        contract = self.ledger.contracts.get(self.channel_id)
-        if (contract is not None and contract.dispute is not None
-                and contract.dispute.receipts.get(promise.sender)):
-            proof = self.state.inclusion_proof(promise.hashlock)
         flow.claim_submitted = True
-        self.claims_made[promise.hashlock] = promise
         try:
-            self.ledger.claim_promise(self.channel_id, self.client_id,
-                                      promise, preimage, proof)
+            self.ledger.claim_promise(self.channel_id, self.client_id, promise, preimage,
+                                      watchdog.claim_proof(self.ledger, self.state, promise))
             self._note("claimed_onchain", payment=flow.payment_id)
         except HubpayError as exc:
             flow.claim_submitted = False
@@ -676,46 +597,36 @@ class WalletCore:
         contract = self.ledger.contracts.get(self.channel_id)
         if contract is None:
             return []
-        outbox: list[tuple[str, WireMessage]] = []
-        in_flight = bool(self.open_flows)
-        stale_attack = "STALE_RECEIPT_DISPUTE" in self.behaviors
         if contract.status == STATUS_OPEN:
-            if stale_attack and not self.dispute_initiated:
-                # skip cooperation; open the dispute with an old self-issued
-                # receipt that understates this wallet's own debt
-                self.dispute_initiated = True
-                try:
-                    self.ledger.initiate_dispute(self.channel_id, self.client_id,
-                                                 self.state.first_receipt_sent)
-                    self._note("dispute_opened_stale", channel=self.channel_id)
-                except HubpayError as exc:
-                    self._note("dispute_open_failed", code=exc.code)
-            elif self.coop_sent_at is None and not in_flight and not stale_attack:
-                record = ClosingRecord.make(self.channel_id, close_balances(self.state))
-                sig = crypto.sign(self.sk, record.signing_bytes)
-                self.coop_sent_at = now
-                outbox.append(("hub", WireMessage(K_CLOSE_REQUEST, {
-                    "channel_id": self.channel_id,
-                    "record": record.to_jsonable(),
-                    "sig": sig.data.hex(),
-                })))
-            elif (self.coop_sent_at is not None and not self.dispute_initiated
-                    and (self.coop_refused
-                         or now - self.coop_sent_at >= self.config.close_timeout)):
-                self.dispute_initiated = True
-                try:
-                    self.ledger.initiate_dispute(self.channel_id, self.client_id,
-                                                 self.state.last_receipt_received)
-                    self._note("dispute_opened", channel=self.channel_id)
-                except HubpayError as exc:
-                    self._note("dispute_open_failed", code=exc.code)
-        elif contract.status == STATUS_CLOSING and contract.dispute is not None:
-            if (not self.finalize_submitted
-                    and now >= contract.dispute.opened_at + self.state.params.dispute_window):
-                self.finalize_submitted = True
-                try:
-                    self.ledger.finalize_settlement(self.channel_id)
-                    self._note("finalized", channel=self.channel_id)
-                except HubpayError as exc:
-                    self._note("finalize_failed", code=exc.code)
-        return outbox
+            return self._close_open_channel(now)
+        if contract.status == STATUS_CLOSING and not self.finalize_submitted:
+            self.finalize_submitted = watchdog.finalize_when_due(
+                self.ledger, self.state, now, self._note)
+        return []
+
+    def _close_open_channel(self, now: int) -> list[tuple[str, WireMessage]]:
+        """Close an OPEN channel (a hook, like those above): ask the hub to
+        close cooperatively once nothing is in flight, and open a dispute
+        when it refuses or times out."""
+        assert self.state is not None
+        if self.coop_sent_at is None:
+            if self.open_flows:
+                return []
+            record = ClosingRecord.make(self.channel_id, close_balances(self.state))
+            sig = crypto.sign(self.sk, record.signing_bytes)
+            self.coop_sent_at = now
+            return [("hub", WireMessage(K_CLOSE_REQUEST, {
+                "channel_id": self.channel_id,
+                "record": record.to_jsonable(),
+                "sig": sig.data.hex(),
+            }))]
+        if not self.dispute_initiated and (
+                self.coop_refused or now - self.coop_sent_at >= self.config.close_timeout):
+            self.dispute_initiated = True
+            try:
+                self.ledger.initiate_dispute(self.channel_id, self.client_id,
+                                             self.state.last_receipt_received)
+                self._note("dispute_opened", channel=self.channel_id)
+            except HubpayError as exc:
+                self._note("dispute_open_failed", code=exc.code)
+        return []

@@ -5,10 +5,14 @@ and once with a malicious client against the honest hub. The trace-level
 oracles assert conservation, honest-client solvency, and hub safety.
 """
 
+from pathlib import Path
+
 import pytest
 
-from hubpay.scenarios import DIRECTIVES, adversary_scenario
-from hubpay.simnet import World
+from hubpay import cli, hub, server, wallet
+from hubpay.ledger import Ledger
+from hubpay.scenarios import DIRECTIVES, adversary_scenario, base_two_clients
+from hubpay.simnet import BEHAVIORS, World
 
 from corpus_checks import (
     accounts_equal_genesis,
@@ -108,3 +112,37 @@ def test_replay_and_overspend_promises_rejected():
         rejected = {e.get("reason") for e in report.trace
                     if e.get("action") == "promise_rejected"}
         assert rejected & code, f"{directive}: hub never rejected ({rejected})"
+
+
+def test_honest_cores_hold_no_scripted_behaviour():
+    for module in (hub, server, wallet, cli):
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        named = sorted(b for b in BEHAVIORS if b in source)
+        assert not named, f"{module.__name__} names {named}"
+    ledger = Ledger("L1", "SCHEME_A", {"carol": 100, "hub": 1000})
+    honest_hub = hub.HubCore(hub.HubConfig(), {"L1": ledger})
+    honest_wallet = wallet.WalletCore(wallet.WalletConfig("carol", "L1"), ledger)
+    assert not hasattr(honest_hub, "behaviors")
+    assert not hasattr(honest_wallet, "behaviors")
+
+
+def test_adversary_action_turns_a_behaviour_on_mid_run():
+    scenario = base_two_clients()
+    scenario["script"] += [
+        {"at": 4, "action": "pay", "from": "alice", "to": "bob",
+         "amount": 20, "expiry_delta": 20},
+        {"at": 14, "action": "adversary", "actor": "bob", "behavior": "WITHHOLD_SECRET"},
+        {"at": 16, "action": "pay", "from": "alice", "to": "bob",
+         "amount": 30, "expiry_delta": 20},
+        {"at": 50, "action": "close", "actor": "alice"},
+        {"at": 52, "action": "close", "actor": "bob"},
+    ]
+    scenario["horizon"] = 200
+    world, report = run_world(scenario)
+    bob = world.wallets["bob"]
+    assert bob.flows["pmt-00001"].outcome == "RECEIVED"
+    assert bob.flows["pmt-00002"].outcome != "RECEIVED"
+    assert world.wallets["alice"].flows["pmt-00002"].outcome == "FAILED"
+    assert any(e.get("action") == "secret_withheld" and e["actor"] == "bob"
+               for e in report.trace)
+    assert world.final_balances()["bob"] == 1000 + 20

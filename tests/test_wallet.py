@@ -102,6 +102,37 @@ def test_send_payment_insufficient_capacity_fails_locally():
     assert world.wallets["alice"].state.credit_sent == 0
 
 
+def test_promise_refused_by_hub_leaves_later_receipts_valid():
+    # the hub's 60-unit float on bob's channel routes one 50-unit payment and
+    # refuses the second; the refused promise must leave alice's books, or
+    # every later receipt commits to a pending root the hub cannot match
+    scenario = base_two_clients(mode="CONCURRENT")
+    scenario["hub"]["channel_float"] = 60
+    scenario["script"] += [
+        {"at": 4, "action": "pay", "from": "alice", "to": "bob",
+         "amount": 50, "expiry_delta": 30},
+        {"at": 4, "action": "pay", "from": "alice", "to": "bob",
+         "amount": 50, "expiry_delta": 30},
+        {"at": 12, "action": "pay", "from": "alice", "to": "bob",
+         "amount": 5, "expiry_delta": 30},
+    ]
+    scenario["horizon"] = 200
+    world = World(scenario)
+    report = world.run()
+    notes = [e for e in report.trace if e["ev"] == "note"]
+    assert [n["payment"] for n in notes
+            if n["action"] == "liquidity_exhausted"] == ["pmt-00002"]
+    alice = world.wallets["alice"]
+    assert alice.flows["pmt-00002"].outcome == "FAILED"
+    assert not alice.state.pending_out
+    assert not [n for n in notes if n["action"] == "receipt_rejected"]
+    assert not [e for e in report.trace if e["ev"] == "ledger" and e["kind"] == "CLAIMED"]
+    # both paid payments settled off-chain with alice's receipts
+    settled = {n["payment"] for n in notes if n["action"] == "settled_in"}
+    assert settled == {"pmt-00001", "pmt-00003"}
+    assert world.hub.channel_of("alice").credit_received == 55
+
+
 # -- receive_payment outcomes ----------------------------------------------------------
 
 def test_receive_payment_cooperative_flow():

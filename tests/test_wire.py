@@ -353,10 +353,15 @@ def test_daemon_orders_receipts_after_the_promises_they_commit_to(live_hub):
             peer.pump()
         time.sleep(0.01)
     with server.lock:
-        rejected = [n for n in server.hub.trace if n["action"] == "receipt_rejected"]
+        hub_rejected = server.note_counts["receipt_rejected"]
+        # every hub note is tallied, and none is kept
+        assert server.note_counts["secret_accepted"] == 2 * per_direction
+        assert server.hub.trace == []
+    rejected = []
     for peer in peers.values():
         rejected += [n for n in peer.wallet.trace if n["action"] == "receipt_rejected"]
         assert all(f.outcome in ("PAID", "RECEIVED") for f in peer.wallet.flows.values())
         peer.stream.close()
+    assert hub_rejected == 0
     assert rejected == []
     assert onchain_claims(server) == []
