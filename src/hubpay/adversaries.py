@@ -31,6 +31,9 @@ class ScriptedHub(HubCore):
         super().__init__(*args, **kwargs)
         self.behaviors: set[str] = set()
         self.attacks_done: set[str] = set()
+        # the first receipt this hub issued on each channel, by channel id;
+        # a restarted hub starts with none
+        self.first_receipts: dict[str, Receipt] = {}
 
     def _forward_promise(self, out_state: ChannelState, incoming: Promise,
                          amount: int, expiry: int, now: int) -> Promise:
@@ -65,14 +68,19 @@ class ScriptedHub(HubCore):
         return super()._accept_close(src, state, balances, now)
 
     def _initiate_receipt_choice(self, state: ChannelState) -> Receipt | None:
-        if "STALE_RECEIPT_DISPUTE" in self.behaviors and state.first_receipt_sent:
+        first = self.first_receipts.get(state.params.channel_id)
+        if "STALE_RECEIPT_DISPUTE" in self.behaviors and first:
             # understate the counterparty's credit with an old self-issued receipt
-            return state.first_receipt_sent
+            return first
         return super()._initiate_receipt_choice(state)
 
     def attack(self, now: int) -> Outbox:
         """Run the active attacks the behaviours demand; the caller sends
-        the returned outbox."""
+        the returned outbox. Runs every tick, so it also keeps the first
+        receipt issued on each channel for a later stale dispute."""
+        for channel_id, state in self.channels.items():
+            if channel_id not in self.first_receipts and state.last_receipt_sent:
+                self.first_receipts[channel_id] = state.last_receipt_sent
         outbox: Outbox = []
         if "REPLAY_PROMISE" in self.behaviors and "replay" not in self.attacks_done:
             outbox += self._replay()
@@ -115,6 +123,8 @@ class ScriptedWallet(WalletCore):
         self.attacks_done: set[str] = set()
         # the client an overspending promise is addressed to
         self.overspend_payee: str | None = None
+        # the first receipt this wallet issued
+        self.first_receipt: Receipt | None = None
 
     def _should_reveal_secret(self, flow: PaymentFlow) -> bool:
         return "WITHHOLD_SECRET" not in self.behaviors
@@ -131,7 +141,7 @@ class ScriptedWallet(WalletCore):
             self.dispute_initiated = True
             try:
                 self.ledger.initiate_dispute(self.channel_id, self.client_id,
-                                             self.state.first_receipt_sent)
+                                             self.first_receipt)
                 self._note("dispute_opened_stale", channel=self.channel_id)
             except HubpayError as exc:
                 self._note("dispute_open_failed", code=exc.code)
@@ -139,7 +149,10 @@ class ScriptedWallet(WalletCore):
 
     def attack(self, now: int) -> Outbox:
         """Run the active attacks the behaviours demand; the caller sends
-        the returned outbox."""
+        the returned outbox. Runs every tick, so it also keeps the first
+        receipt this wallet issued for a later stale dispute."""
+        if self.first_receipt is None and self.state is not None:
+            self.first_receipt = self.state.last_receipt_sent
         outbox: Outbox = []
         if "OVERSPEND_PROMISE" in self.behaviors and "overspend" not in self.attacks_done:
             outbox += self._overspend(now)

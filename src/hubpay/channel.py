@@ -72,7 +72,6 @@ class ChannelState:
     pending_out: dict[bytes, Promise] = field(default_factory=dict)
     pending_in: dict[bytes, Promise] = field(default_factory=dict)
     last_receipt_sent: Receipt | None = None
-    first_receipt_sent: Receipt | None = None
     last_receipt_received: Receipt | None = None
     # Leaf set committed by last_receipt_received.pending_root, kept so the
     # owner can later build on-chain inclusion proofs against that receipt.
@@ -286,8 +285,6 @@ class ChannelState:
         )
         receipt = receipt.with_sig(crypto.sign(sk, receipt.signing_bytes))
         self.last_receipt_sent = receipt
-        if self.first_receipt_sent is None:
-            self.first_receipt_sent = receipt
         return receipt
 
     def verify_receipt(self, r: Receipt) -> str | None:
@@ -417,8 +414,6 @@ class ChannelState:
             "pending_out": [p.to_jsonable() for p in self.pending_out.values()],
             "pending_in": [p.to_jsonable() for p in self.pending_in.values()],
             "last_receipt_sent": self.last_receipt_sent.to_jsonable() if self.last_receipt_sent else None,
-            "first_receipt_sent": (self.first_receipt_sent.to_jsonable()
-                                   if self.first_receipt_sent else None),
             "last_receipt_received": (self.last_receipt_received.to_jsonable()
                                       if self.last_receipt_received else None),
             "last_receipt_leaves": [leaf.hex() for leaf in self.last_receipt_leaves],
@@ -450,8 +445,6 @@ class ChannelState:
             state.pending_in[promise.hashlock] = promise
         if obj["last_receipt_sent"]:
             state.last_receipt_sent = Receipt.from_jsonable(obj["last_receipt_sent"])
-        if obj.get("first_receipt_sent"):
-            state.first_receipt_sent = Receipt.from_jsonable(obj["first_receipt_sent"])
         if obj["last_receipt_received"]:
             state.last_receipt_received = Receipt.from_jsonable(obj["last_receipt_received"])
         state.last_receipt_leaves = [bytes.fromhex(s) for s in obj["last_receipt_leaves"]]

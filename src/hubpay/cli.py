@@ -157,8 +157,6 @@ class WalletSession:
                 ledger_id = json.load(fh)["config"]["ledger_id"]
             self.remote = RemoteLedger(self.stream, ledger_id)
             self.wallet = _load_wallet(self.path, self.remote)
-            # each pump ends a delivery batch, and finish() ends the last
-            self.wallet.coalesce_receipts = True
             self.stream.send(WireMessage(K_OK, {"client_id": self.wallet.client_id}))
 
     def send_all(self, outbox) -> None:

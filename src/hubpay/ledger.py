@@ -2,9 +2,12 @@
 
 The ledger holds plain accounts, a logical tick clock, and contract
 instances that understand exactly three things: signature verification,
-hashlocks, and timelocks. Everything observable is emitted as an append-only
-event stream, so any reader can audit a channel and any test can replay the
-log and demand bit-identical state.
+hashlocks, and timelocks. The ledger is event-sourced: each mutating method
+only validates its input and builds an event, and ``apply_event`` is the one
+place that changes accounts and contracts. The hosted ledger, a wallet's
+replica (``server.RemoteLedger``), ``replay_events`` and
+``Ledger.from_snapshot`` all apply the same append-only event stream, so any
+reader can audit a channel and any replay reaches bit-identical state.
 """
 
 from __future__ import annotations
@@ -101,12 +104,16 @@ class ContractInstance:
     dispute: DisputeRecord | None = None
     status: str = STATUS_OPEN
     settlement: dict[str, int] | None = None
-    finalizable: bool = False
 
     def parties(self) -> tuple[str, str]:
         return self.params.client_id, self.params.hub_id
 
-    def public_view(self) -> dict:
+    def window_passed(self, now: int) -> bool:
+        """True once a dispute is open and its window has elapsed at ``now``."""
+        return (self.dispute is not None
+                and now >= self.dispute.opened_at + self.params.dispute_window)
+
+    def public_view(self, now: int) -> dict:
         """On-ledger state only; carries no per-payment off-chain amounts."""
         return {
             "channel_id": self.params.channel_id,
@@ -122,7 +129,7 @@ class ContractInstance:
             },
             "status": self.status,
             "settlement": dict(self.settlement) if self.settlement else None,
-            "finalizable": self.finalizable,
+            "finalizable": self.status == STATUS_CLOSING and self.window_passed(now),
         }
 
 
@@ -142,7 +149,7 @@ class Ledger:
 
     def _emit(self, kind: str, payload: dict) -> LedgerEvent:
         event = LedgerEvent(seq=len(self.events), at=self.now, kind=kind, payload=payload)
-        self.events.append(event)
+        apply_event(self, event)
         return event
 
     def _contract(self, channel_id: str) -> ContractInstance:
@@ -169,11 +176,6 @@ class Ledger:
             raise BadSignature("contracts are deployed by the hub account")
         if params.ledger_id != self.ledger_id or params.scheme != self.scheme:
             raise BadStatus("params bound to a different ledger")
-        contract = ContractInstance(
-            params=params,
-            deposits={params.client_id: 0, params.hub_id: 0},
-        )
-        self.contracts[params.channel_id] = contract
         self._emit(EV_DEPLOYED, {"channel_id": params.channel_id,
                                  "params": params.to_jsonable(),
                                  "deployer": deployer})
@@ -189,8 +191,6 @@ class Ledger:
             raise InvalidAmount(str(amount))
         if self.accounts.get(party, 0) < amount:
             raise InsufficientFunds(f"{party} holds {self.accounts.get(party, 0)} < {amount}")
-        self.accounts[party] -= amount
-        contract.deposits[party] += amount
         self._emit(EV_DEPOSITED, {"channel_id": channel_id, "party": party, "amount": amount})
         return contract
 
@@ -219,10 +219,8 @@ class Ledger:
         params = contract.params
         if contract.status == STATUS_CLOSED:
             raise BadStatus(contract.status)
-        if contract.status == STATUS_CLOSING:
-            assert contract.dispute is not None
-            if self.now >= contract.dispute.opened_at + params.dispute_window:
-                raise BadStatus("dispute window elapsed")
+        if contract.window_passed(self.now):
+            raise BadStatus("dispute window elapsed")
         if promise.channel_id != channel_id or promise.sender not in contract.deposits:
             raise BadSignature("promise bound to another channel")
         if claimant != params.other_party(promise.sender):
@@ -259,16 +257,6 @@ class Ledger:
                 if not merkle_verify(recorded.pending_root, promise.digest, mproof):
                     raise ProofRequired("promise not in the receipt's pending set")
                 basis_index = recorded.index
-        record = ClaimRecord(
-            claimant=claimant,
-            sender=promise.sender,
-            amount=promise.amount,
-            promise_index=promise.index,
-            hashlock=promise.hashlock,
-            promise_digest=promise.digest,
-            basis_index=basis_index,
-        )
-        contract.claimed[promise.hashlock] = record
         self._emit(EV_CLAIMED, {
             "channel_id": channel_id,
             "claimant": claimant,
@@ -294,7 +282,7 @@ class Ledger:
         contract = self._contract(channel_id)
         if contract.status != STATUS_CLOSING or contract.dispute is None:
             raise BadStatus(contract.status)
-        if self.now >= contract.dispute.opened_at + contract.params.dispute_window:
+        if contract.window_passed(self.now):
             raise WindowClosed(str(self.now))
         record = contract.claimed.get(hashlock)
         if record is None or record.claimant != claimant:
@@ -307,7 +295,6 @@ class Ledger:
             raise ProofRequired("proof must target the recorded receipt")
         if not merkle_verify(recorded.pending_root, record.promise_digest, mproof):
             raise ProofRequired("invalid inclusion proof")
-        record.basis_index = recorded.index
         self._emit(EV_CLAIMED, {
             "channel_id": channel_id,
             "claimant": claimant,
@@ -340,10 +327,6 @@ class Ledger:
                 f"payouts {sum(balances.values())} != deposits {sum(contract.deposits.values())}")
         if any(v < 0 for v in balances.values()):
             raise ConservationViolation("negative payout")
-        contract.status = STATUS_CLOSED
-        contract.settlement = dict(balances)
-        for party, amount in balances.items():
-            self.accounts[party] = self.accounts.get(party, 0) + amount
         self._emit(EV_CLOSED, {"channel_id": channel_id, "cooperative": True,
                                "settlement": dict(sorted(balances.items())),
                                "penalties": {}})
@@ -358,10 +341,6 @@ class Ledger:
             raise NotFound(f"{party} is not a channel member")
         if receipt is not None:
             self._check_receipt(contract, receipt)
-        contract.status = STATUS_CLOSING
-        contract.dispute = DisputeRecord(opened_at=self.now, opened_by=party)
-        if receipt is not None:
-            contract.dispute.receipts[receipt.issuer] = (receipt, party)
         self._emit(EV_DISPUTE_OPENED, {
             "channel_id": channel_id,
             "party": party,
@@ -371,19 +350,9 @@ class Ledger:
 
     def _record_receipt(self, contract: ContractInstance, party: str,
                         receipt: Receipt) -> None:
-        dispute = contract.dispute
-        assert dispute is not None
-        existing = dispute.receipts.get(receipt.issuer)
-        if existing is not None:
-            old_receipt, old_submitter = existing
-            if receipt.index <= old_receipt.index:
-                raise StaleReceipt(
-                    f"index {receipt.index} <= recorded {old_receipt.index}")
-            # A party that submitted its own stale issuance and is overridden
-            # by the counterparty is provably misbehaving.
-            if old_submitter != party and old_receipt.issuer == old_submitter:
-                dispute.misbehaving.add(old_submitter)
-        dispute.receipts[receipt.issuer] = (receipt, party)
+        old_receipt = self._recorded_receipt(contract, receipt.issuer)
+        if old_receipt is not None and receipt.index <= old_receipt.index:
+            raise StaleReceipt(f"index {receipt.index} <= recorded {old_receipt.index}")
         self._emit(EV_RECEIPT_SUBMITTED, {
             "channel_id": contract.params.channel_id,
             "party": party,
@@ -396,7 +365,7 @@ class Ledger:
             raise BadStatus(contract.status)
         if party not in contract.deposits:
             raise NotFound(f"{party} is not a channel member")
-        if self.now >= contract.dispute.opened_at + contract.params.dispute_window:
+        if contract.window_passed(self.now):
             raise WindowClosed(str(self.now))
         self._check_receipt(contract, receipt)
         self._record_receipt(contract, party, receipt)
@@ -417,7 +386,7 @@ class Ledger:
         params = contract.params
         if contract.status != STATUS_CLOSING or contract.dispute is None:
             raise BadStatus(contract.status)
-        if self.now < contract.dispute.opened_at + params.dispute_window:
+        if not contract.window_passed(self.now):
             raise WindowOpen(str(self.now))
         client, hub = contract.parties()
         total = sum(contract.deposits.values())
@@ -445,11 +414,6 @@ class Ledger:
             balances[other] += pen
             penalties[party] = pen
 
-        contract.status = STATUS_CLOSED
-        contract.settlement = dict(balances)
-        contract.finalizable = False
-        for party, amount in balances.items():
-            self.accounts[party] = self.accounts.get(party, 0) + amount
         self._emit(EV_CLOSED, {"channel_id": channel_id, "cooperative": False,
                                "settlement": dict(sorted(balances.items())),
                                "penalties": penalties})
@@ -461,15 +425,11 @@ class Ledger:
         if ticks < 1:
             raise InvalidAmount(f"ticks must be >= 1, got {ticks}")
         self.now += ticks
-        for contract in self.contracts.values():
-            if (contract.status == STATUS_CLOSING and contract.dispute is not None
-                    and self.now >= contract.dispute.opened_at + contract.params.dispute_window):
-                contract.finalizable = True
         return []
 
     def read_state(self, channel_id: str) -> dict:
         contract = self._contract(channel_id)
-        view = contract.public_view()
+        view = contract.public_view(self.now)
         view["events"] = [e.to_jsonable() for e in self.events
                           if e.payload.get("channel_id") == channel_id]
         view["now"] = self.now
@@ -502,11 +462,6 @@ class Ledger:
         ledger = replay_events(snap["ledger_id"], snap["scheme"], snap["genesis_balances"],
                                [LedgerEvent.from_jsonable(e) for e in snap["events"]])
         ledger.now = int(snap["now"])
-        for contract in ledger.contracts.values():
-            if (contract.status == STATUS_CLOSING and contract.dispute is not None
-                    and ledger.now >= contract.dispute.opened_at
-                    + contract.params.dispute_window):
-                contract.finalizable = True
         return ledger
 
     def full_state(self) -> dict:
@@ -514,7 +469,7 @@ class Ledger:
         return {
             "now": self.now,
             "accounts": dict(sorted(self.accounts.items())),
-            "contracts": {cid: c.public_view()
+            "contracts": {cid: c.public_view(self.now)
                           for cid, c in sorted(self.contracts.items())},
             "n_events": len(self.events),
         }
@@ -525,20 +480,23 @@ class Ledger:
 
 
 def apply_event(ledger: Ledger, event: LedgerEvent) -> None:
-    """Apply one event's effect to ledger state (no re-validation)."""
+    """Apply one event's effect to ledger state and append it to the log.
+
+    The only code that changes accounts or contracts. The ``Ledger`` methods
+    validate before they emit; a replay applies a log that a ledger already
+    validated, so nothing is checked again here."""
     ledger.now = max(ledger.now, event.at)
     payload = event.payload
+    contract = ledger.contracts.get(payload["channel_id"])
     if event.kind == EV_DEPLOYED:
         params = ChannelParams.from_jsonable(payload["params"])
         ledger.contracts[params.channel_id] = ContractInstance(
             params=params, deposits={params.client_id: 0, params.hub_id: 0})
     elif event.kind == EV_DEPOSITED:
-        contract = ledger.contracts[payload["channel_id"]]
-        ledger.accounts[payload["party"]] = (
-            ledger.accounts.get(payload["party"], 0) - int(payload["amount"]))
-        contract.deposits[payload["party"]] += int(payload["amount"])
+        party, amount = payload["party"], int(payload["amount"])
+        ledger.accounts[party] = ledger.accounts.get(party, 0) - amount
+        contract.deposits[party] += amount
     elif event.kind == EV_CLAIMED:
-        contract = ledger.contracts[payload["channel_id"]]
         hashlock = bytes.fromhex(payload["hashlock"])
         if payload.get("refresh"):
             contract.claimed[hashlock].basis_index = payload["basis_index"]
@@ -553,26 +511,24 @@ def apply_event(ledger: Ledger, event: LedgerEvent) -> None:
                 basis_index=payload["basis_index"],
             )
     elif event.kind == EV_DISPUTE_OPENED:
-        contract = ledger.contracts[payload["channel_id"]]
         contract.status = STATUS_CLOSING
         contract.dispute = DisputeRecord(opened_at=event.at, opened_by=payload["party"])
         if payload.get("receipt"):
             receipt = Receipt.from_jsonable(payload["receipt"])
             contract.dispute.receipts[receipt.issuer] = (receipt, payload["party"])
     elif event.kind == EV_RECEIPT_SUBMITTED:
-        contract = ledger.contracts[payload["channel_id"]]
         receipt = Receipt.from_jsonable(payload["receipt"])
         dispute = contract.dispute
         existing = dispute.receipts.get(receipt.issuer)
         if existing is not None:
+            # A party that submitted its own stale issuance and is overridden
+            # by the counterparty is provably misbehaving.
             old_receipt, old_submitter = existing
             if old_submitter != payload["party"] and old_receipt.issuer == old_submitter:
                 dispute.misbehaving.add(old_submitter)
         dispute.receipts[receipt.issuer] = (receipt, payload["party"])
     elif event.kind == EV_CLOSED:
-        contract = ledger.contracts[payload["channel_id"]]
         contract.status = STATUS_CLOSED
-        contract.finalizable = False
         contract.settlement = {k: int(v) for k, v in payload["settlement"].items()}
         for party, amount in contract.settlement.items():
             ledger.accounts[party] = ledger.accounts.get(party, 0) + amount

@@ -13,6 +13,7 @@ import json
 import socket
 import threading
 from collections import Counter
+from dataclasses import fields
 
 from .crypto import MerkleProof
 from .errors import HubpayError, NotFound
@@ -411,12 +412,8 @@ def build_ledgers(config: dict) -> dict[str, Ledger]:
 
 
 def build_hub_config(config: dict) -> HubConfig:
-    return HubConfig(
-        hub_id=config.get("hub_id", "hub"),
-        fee_bps=int(config.get("fee_bps", 0)),
-        claim_margin_delta=int(config.get("claim_margin_delta", 50)),
-        dispute_window=int(config.get("dispute_window", 100)),
-        penalty_bps=int(config.get("penalty_bps", 1000)),
-        channel_float=int(config.get("channel_float", 1_000_000)),
-        key_seed=config.get("key_seed", "hub-key-seed").encode(),
-    )
+    """The hub settings a daemon config sets; ``HubConfig`` holds the
+    defaults for the rest."""
+    convert = {"hub_id": str, "key_seed": str.encode}
+    return HubConfig(**{f.name: convert.get(f.name, int)(config[f.name])
+                        for f in fields(HubConfig) if f.name in config})

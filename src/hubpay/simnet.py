@@ -154,8 +154,6 @@ class World:
             wallet = ScriptedWallet(config, self.ledgers[client["ledger"]],
                                     rng=Random(f"{self.seed}:{client['id']}"))
             wallet.behaviors.update(client.get("behaviors", []))
-            # every step ends each actor's delivery batch with its tick
-            wallet.coalesce_receipts = True
             self.wallets[client["id"]] = wallet
         for client_id, wallet in self.wallets.items():
             wallet.overspend_payee = min((c for c in self.wallets if c != client_id),

@@ -116,11 +116,6 @@ class WalletCore:
         self.settlement: dict | None = None
         self.open_invoices: list[dict] = []
         self.auto_accept_invoices = True
-        # When set, a CONCURRENT channel's receipts are signed once per
-        # delivery batch by flush_receipts (client_tick runs it), so the
-        # driver must end each batch with one of the two; otherwise every
-        # resolved secret is receipted at once.
-        self.coalesce_receipts = False
         self.trace: list[dict] = []
 
     @property
@@ -455,8 +450,10 @@ class WalletCore:
             self._note("secret_rejected", payment=flow.payment_id, code=exc.code)
             return []
         self._finish(flow, OUT_PAID)
-        if self.coalesce_receipts and self.state.params.mode == MODE_CONCURRENT:
-            return []  # flush_receipts signs one receipt for the whole batch
+        if self.state.params.mode == MODE_CONCURRENT:
+            # one receipt for the whole delivery batch: the caller ends each
+            # batch with client_tick or flush_receipts, which sign it
+            return []
         receipt = self.state.issue_receipt(self.sk, promise.index)
         return [("hub", receipt_message(receipt, flow.payment_id))]
 

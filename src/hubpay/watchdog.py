@@ -126,9 +126,8 @@ def finalize_when_due(ledger: Ledger, state: ChannelState, now: int, note: Note)
     passed. Returns True when it submitted, so the caller submits once."""
     channel_id = state.params.channel_id
     contract = ledger.contracts.get(channel_id)
-    if contract is None or contract.status != STATUS_CLOSING or contract.dispute is None:
-        return False
-    if now < contract.dispute.opened_at + state.params.dispute_window:
+    if (contract is None or contract.status != STATUS_CLOSING
+            or not contract.window_passed(now)):
         return False
     try:
         ledger.finalize_settlement(channel_id)

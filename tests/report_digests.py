@@ -1,0 +1,59 @@
+"""Print one ``name sha256`` line per deterministic simulation run.
+
+Each digest is the SHA-256 of ``RunReport.canonical_bytes()``: everything a
+run reports except wall-clock timing. A change that claims to alter no
+behaviour must leave every line identical, so run this script on both sides
+of the change and diff the outputs:
+
+    python tests/report_digests.py > before.txt   # on the base commit
+    python tests/report_digests.py > after.txt    # on the change
+    diff before.txt after.txt
+
+The 135 runs are the scenario files under ``scenarios/``, the adversary
+corpus (every behaviour against the hub and against a client, in both
+channel modes), random scenarios 0-99, and ``throughput_bench(3000)`` in
+both modes. The file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from hubpay.messages import MODES  # noqa: E402
+from hubpay.scenarios import DIRECTIVES, adversary_scenario, random_scenario  # noqa: E402
+from hubpay.simnet import load_scenario, run_scenario, throughput_bench  # noqa: E402
+
+N_RANDOM = 100
+BENCH_PAYMENTS = 3000
+
+
+def runs():
+    """(name, thunk returning a RunReport) for every run, in output order."""
+    for path in sorted((ROOT / "scenarios").glob("*.json")):
+        yield path.name, lambda path=path: run_scenario(load_scenario(str(path)))
+    for mode in sorted(MODES):
+        for target in ("hub", "client"):
+            for directive in DIRECTIVES:
+                scenario = adversary_scenario(directive, target, mode=mode)
+                yield f"{scenario['name']}-{mode}", lambda s=scenario: run_scenario(s)
+    for seed in range(N_RANDOM):
+        yield f"random-{seed}", lambda seed=seed: run_scenario(random_scenario(seed))
+    for mode in sorted(MODES):
+        yield (f"bench-{mode}-{BENCH_PAYMENTS}",
+               lambda mode=mode: throughput_bench(BENCH_PAYMENTS, mode=mode))
+
+
+def main() -> int:
+    for name, run in runs():
+        digest = hashlib.sha256(run().canonical_bytes()).hexdigest()
+        print(name, digest, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

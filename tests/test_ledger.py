@@ -1,5 +1,7 @@
 """Mock ledger: contract lifecycle, HTLC semantics, disputes, settlement."""
 
+import json
+
 import pytest
 
 from hubpay.crypto import ZERO_DIGEST, hash_commit, merkle_prove, merkle_root, sign
@@ -410,17 +412,53 @@ def test_conservation_on_close_and_global_constant():
     assert ledger.total_value() == start_total == 1000 + 1_000_000
 
 
-def test_replay_from_event_log_reproduces_state():
-    ledger, pair = funded_ledger(mode=MODE_SERIALIZED)
-    preimage = b"\x23" * 32
-    promise = signed_promise(pair, "alice", 1, 25, preimage, expiry=100)
-    ledger.claim_promise(pair.params.channel_id, "hub", promise, preimage)
-    ledger.initiate_dispute(pair.params.channel_id, "alice")
-    ledger.advance_time(WINDOW)
-    ledger.finalize_settlement(pair.params.channel_id)
+def assert_rebuilds_agree(ledger):
+    """A replay of the event log and a snapshot restore both reach the live
+    ledger's state."""
     replayed = replay_events("L1", ledger.scheme, ledger.genesis_balances, ledger.events)
     replayed.now = ledger.now
+    restored = Ledger.from_snapshot(json.loads(ledger.snapshot_json()))
     assert replayed.state_digest() == ledger.state_digest()
+    assert restored.state_digest() == ledger.state_digest()
+
+
+def test_replay_from_event_log_reproduces_state():
+    # a CONCURRENT run that emits every event kind, checked after each step
+    ledger, pair = make_ledger(mode=MODE_CONCURRENT)
+    cid = pair.params.channel_id
+    pre1, pre2 = b"\x23" * 32, b"\x24" * 32
+    p1 = signed_promise(pair, "alice", 1, 25, pre1, expiry=100)
+    p2 = signed_promise(pair, "alice", 2, 15, pre2, expiry=100)
+    stale_leaves, fresh_leaves = [p1.digest], [p1.digest, p2.digest]
+    stale = signed_receipt(pair, "alice", 1, 0, merkle_root(stale_leaves))
+    fresh = signed_receipt(pair, "alice", 2, 0, merkle_root(fresh_leaves))
+    steps = [
+        lambda: ledger.deposit(cid, "alice", 100),
+        lambda: ledger.deposit(cid, "hub", 100),
+        # alice opens the dispute with her own stale receipt
+        lambda: ledger.initiate_dispute(cid, "alice", stale),
+        lambda: ledger.claim_promise(cid, "hub", p1, pre1,
+                                     (stale, merkle_prove(stale_leaves, 0))),
+        # the claim carries a fresher receipt, which overrides alice's own
+        lambda: ledger.claim_promise(cid, "hub", p2, pre2,
+                                     (fresh, merkle_prove(fresh_leaves, 1))),
+        lambda: ledger.refresh_claim_proof(cid, "hub", p1.hashlock,
+                                           (fresh, merkle_prove(fresh_leaves, 0))),
+        lambda: ledger.respond_dispute(cid, "alice", signed_receipt(pair, "hub", 1, 5)),
+        lambda: ledger.advance_time(WINDOW),
+        lambda: ledger.finalize_settlement(cid),
+    ]
+    assert_rebuilds_agree(ledger)
+    for step in steps:
+        step()
+        assert_rebuilds_agree(ledger)
+        if step is steps[-2]:
+            assert ledger.read_state(cid)["finalizable"]
+    view = ledger.read_state(cid)
+    assert view["dispute"]["misbehaving"] == ["alice"]
+    assert [c["basis_index"] for c in view["claimed"]] == [2, 2]
+    assert {e["kind"] for e in view["events"]} == {
+        "DEPLOYED", "DEPOSITED", "DISPUTE_OPENED", "CLAIMED", "RECEIPT_SUBMITTED", "CLOSED"}
 
 
 def test_snapshot_round_trip():
@@ -428,7 +466,7 @@ def test_snapshot_round_trip():
     ledger.initiate_dispute(pair.params.channel_id, "alice",
                             signed_receipt(pair, "hub", 2, 12))
     snap = ledger.snapshot_json()
-    restored = Ledger.from_snapshot(__import__("json").loads(snap))
+    restored = Ledger.from_snapshot(json.loads(snap))
     assert restored.snapshot_json() == snap
     assert restored.state_digest() == ledger.state_digest()
 

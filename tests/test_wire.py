@@ -4,12 +4,14 @@ import json
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from hubpay import cli
 from hubpay.channel import ChannelState
 from hubpay.errors import EncodingError
+from hubpay.hub import HubConfig
 from hubpay.server import HubServer, RemoteLedger, build_hub_config, build_ledgers
 from hubpay.wallet import WalletConfig, WalletCore
 from hubpay.wire import (
@@ -85,6 +87,12 @@ def live_hub():
     server.start_background()
     yield server, f"127.0.0.1:{server.address[1]}"
     server.shutdown()
+
+
+def test_daemon_config_overrides_only_the_keys_it_sets():
+    assert build_hub_config({}) == HubConfig()
+    assert build_hub_config({"ledgers": [], "dispute_window": "7", "key_seed": "k"}) == \
+        replace(HubConfig(), dispute_window=7, key_seed=b"k")
 
 
 def hub_channels(addr, capsys) -> dict:
@@ -272,7 +280,6 @@ class LivePeer:
         self.wallet = WalletCore(WalletConfig(client_id=client_id, ledger_id="L1",
                                               mode="CONCURRENT", poll_interval=40),
                                  self.remote)
-        self.wallet.coalesce_receipts = True
         for _, msg in self.wallet.start_register():
             self.stream.send(msg)
         while not self.wallet.verified:
