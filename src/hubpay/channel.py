@@ -117,10 +117,6 @@ class ChannelState:
     # arrival), the single SERIALIZED slot is trivially ordered, and removal
     # never reorders an insertion-ordered dict.
 
-    def pending_out_leaves(self) -> list[bytes]:
-        """Leaf digests of unresolved outgoing promises, index order."""
-        return [p.digest for p in self.pending_out.values()]
-
     def pending_in_leaves(self, exclude: set[bytes] | None = None) -> list[bytes]:
         if not exclude:
             return [p.digest for p in self.pending_in.values()]

@@ -11,10 +11,12 @@ import json
 import socket
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
+from .channel import ChannelState
 from .errors import HubpayError
-from .server import HubServer, RemoteLedger, build_hub_config, build_ledgers
+from .server import HubServer, SocketWallet, build_hub_config, build_ledgers
 from .simnet import load_scenario, run_scenario, throughput_bench
 from .wallet import WalletConfig, WalletCore
 from .wire import K_ADMIN, K_OK, FrameStream, WireMessage
@@ -88,19 +90,7 @@ def hub_main(argv: list[str] | None = None) -> int:
 # wallet
 # ---------------------------------------------------------------------------
 
-def _load_wallet(path: Path, remote: RemoteLedger) -> WalletCore:
-    with open(path, "r", encoding="utf-8") as fh:
-        saved = json.load(fh)
-    config = WalletConfig(
-        client_id=saved["config"]["client_id"],
-        ledger_id=saved["config"]["ledger_id"],
-        mode=saved["config"]["mode"],
-        claim_threshold=saved["config"]["claim_threshold"],
-        poll_interval=saved["config"]["poll_interval"],
-        close_timeout=saved["config"]["close_timeout"],
-        key_seed=bytes.fromhex(saved["config"]["key_seed"]),
-    )
-    wallet = WalletCore(config, remote)
+def _restore_wallet(wallet: WalletCore, saved: dict) -> None:
     state = saved["rng_state"]
     wallet.rng.setstate((state[0], tuple(state[1]), state[2]))
     wallet.channel_id = saved["channel_id"]
@@ -108,35 +98,22 @@ def _load_wallet(path: Path, remote: RemoteLedger) -> WalletCore:
     wallet.fee_bps = saved["fee_bps"]
     wallet.cursor = saved["cursor"]
     wallet.payment_log = saved["payment_log"]
-    wallet.payment_seq = saved.get("payment_seq", 0)
     wallet.closing = saved.get("closing", False)
-    wallet.auto_accept_invoices = False
     if saved["channel"] is not None:
-        from .channel import ChannelState
-
         wallet.state = ChannelState.from_jsonable(saved["channel"])
-    return wallet
 
 
-def _save_wallet(path: Path, wallet: WalletCore) -> None:
+def _save_wallet(path: Path, wallet: WalletCore, payment_seq: int) -> None:
     state = wallet.rng.getstate()
     saved = {
-        "config": {
-            "client_id": wallet.config.client_id,
-            "ledger_id": wallet.config.ledger_id,
-            "mode": wallet.config.mode,
-            "claim_threshold": wallet.config.claim_threshold,
-            "poll_interval": wallet.config.poll_interval,
-            "close_timeout": wallet.config.close_timeout,
-            "key_seed": wallet.config.key_seed.hex(),
-        },
+        "config": {**asdict(wallet.config), "key_seed": wallet.config.key_seed.hex()},
         "rng_state": [state[0], list(state[1]), state[2]],
         "channel_id": wallet.channel_id,
         "verified": wallet.verified,
         "fee_bps": wallet.fee_bps,
         "cursor": wallet.cursor,
         "payment_log": wallet.payment_log,
-        "payment_seq": getattr(wallet, "payment_seq", 0),
+        "payment_seq": payment_seq,
         "closing": wallet.closing,
         "channel": wallet.state.to_jsonable() if wallet.state else None,
     }
@@ -145,61 +122,61 @@ def _save_wallet(path: Path, wallet: WalletCore) -> None:
 
 
 class WalletSession:
-    """One CLI command's connection: wallet core wired to a remote hub."""
+    """One CLI command's connection: the wallet kept in ``path``, driven over
+    the hub socket. Given a ``config`` it starts a new wallet, which
+    registers; otherwise it loads the saved wallet, which says hello."""
 
-    def __init__(self, args, need_state: bool = True):
-        self.path = Path(args.state)
-        self.stream = _connect(args.hub)
-        self.remote: RemoteLedger | None = None
-        self.wallet: WalletCore | None = None
-        if need_state:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                ledger_id = json.load(fh)["config"]["ledger_id"]
-            self.remote = RemoteLedger(self.stream, ledger_id)
-            self.wallet = _load_wallet(self.path, self.remote)
-            self.stream.send(WireMessage(K_OK, {"client_id": self.wallet.client_id}))
+    def __init__(self, path: Path, hub: str, config: WalletConfig | None = None):
+        self.path = path
+        self.save = True
+        self.payment_seq = 0
+        saved = None
+        if config is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                saved = json.load(fh)
+            config = WalletConfig(**{**saved["config"], "key_seed":
+                                     bytes.fromhex(saved["config"]["key_seed"])})
+        stream = _connect(hub)
+        try:
+            self.peer = SocketWallet(stream, config)
+            self.wallet = self.peer.wallet
+            self.wallet.auto_accept_invoices = False
+            if saved is None:
+                self.peer.send_all(self.wallet.start_register())
+            else:
+                _restore_wallet(self.wallet, saved)
+                self.payment_seq = saved.get("payment_seq", 0)
+                stream.send(WireMessage(K_OK, {"client_id": config.client_id}))
+        except BaseException:
+            stream.close()
+            raise
 
-    def send_all(self, outbox) -> None:
-        for _, msg in outbox:
-            self.stream.send(msg)
+    def next_payment_id(self, kind: str) -> str:
+        self.payment_seq += 1
+        return f"{self.wallet.client_id}-{kind}-{self.payment_seq:05d}"
 
     def pump(self, done, timeout_s: float = 30.0, tick_every: float = 0.05) -> bool:
         """Feed frames and ticks into the wallet until ``done()`` or timeout."""
         deadline = time.monotonic() + timeout_s
         last_tick = 0.0
-        while time.monotonic() < deadline:
-            if done():
-                return True
-            while self.remote.pushback:
-                msg = self.remote.pushback.pop(0)
-                self.send_all(self.wallet.handle_message("hub", msg, self.remote.now))
-            try:
-                msg = self.stream.recv(timeout=tick_every)
-            except (TimeoutError, socket.timeout):
-                msg = False
-            if msg is None:
-                return done()
-            while msg:
-                self.send_all(self.wallet.handle_message("hub", msg, self.remote.now))
-                # the rest of the same read joins this delivery batch
-                msg = self.stream.recv() if self.stream.buffered() else None
+        while time.monotonic() < deadline and not done():
+            if not self.peer.pump(tick_every):
+                break
             if time.monotonic() - last_tick >= tick_every:
                 last_tick = time.monotonic()
-                self.remote.refresh()
-                self.send_all(self.wallet.client_tick(self.remote.now))
-            self.send_all(self.wallet.flush_receipts())
+                self.peer.tick()
         return done()
 
     def finish(self) -> None:
-        if self.wallet is not None:
-            try:
-                # a receipt still owed goes out now; without it the hub
-                # would have to claim the payment on-chain
-                self.send_all(self.wallet.flush_receipts())
-            except OSError:
-                pass
-            _save_wallet(self.path, self.wallet)
-        self.stream.close()
+        try:
+            # a receipt still owed goes out now; without it the hub
+            # would have to claim the payment on-chain
+            self.peer.send_all(self.wallet.flush_receipts())
+        except OSError:
+            pass
+        if self.save:
+            _save_wallet(self.path, self.wallet, self.payment_seq)
+        self.peer.stream.close()
 
 
 def wallet_main(argv: list[str] | None = None) -> int:
@@ -242,45 +219,34 @@ def wallet_main(argv: list[str] | None = None) -> int:
         return _emit({"outcome": "FAILED", "error": str(exc)}, ok=False)
 
 
+def _hub_error(wallet: WalletCore) -> str | None:
+    """The code of the first ERROR the hub sent that names no payment."""
+    return next((n["code"] for n in wallet.trace if n["action"] == "hub_error"), None)
+
+
 def _wallet_dispatch(args) -> int:
     if args.cmd == "log":
         with open(args.state, "r", encoding="utf-8") as fh:
             saved = json.load(fh)
         return _emit({"payments": saved["payment_log"]})
 
+    config = None
     if args.cmd == "register":
-        stream = _connect(args.hub)
-        try:
-            remote = RemoteLedger(stream, args.ledger)
-            config = WalletConfig(client_id=args.id, ledger_id=args.ledger,
-                                  mode=args.mode)
-            wallet = WalletCore(config, remote)
-            wallet.auto_accept_invoices = False
-            for _, msg in wallet.start_register():
-                stream.send(msg)
-            deadline = time.monotonic() + 15
-            while time.monotonic() < deadline and not wallet.verified \
-                    and wallet.verify_failure is None:
-                reply = stream.recv(timeout=1.0)
-                if reply is None:
-                    break
-                remote.refresh()
-                wallet.handle_message("hub", reply, remote.now)
-                if reply.kind == "ERROR":
-                    return _emit({"outcome": "FAILED",
-                                  "error": reply.body.get("code")}, ok=False)
-            _save_wallet(Path(args.state), wallet)
-            if wallet.verified:
-                return _emit({"outcome": "REGISTERED",
-                              "channel_id": wallet.channel_id})
-            return _emit({"outcome": "FAILED",
-                          "error": wallet.verify_failure or "Timeout"}, ok=False)
-        finally:
-            stream.close()
-
-    session = WalletSession(args)
+        config = WalletConfig(client_id=args.id, ledger_id=args.ledger, mode=args.mode)
+    session = WalletSession(Path(args.state), args.hub, config)
     wallet = session.wallet
     try:
+        if args.cmd == "register":
+            session.pump(lambda: wallet.verified or wallet.verify_failure is not None
+                         or _hub_error(wallet) is not None, timeout_s=15)
+            error = _hub_error(wallet)
+            if error is not None:
+                session.save = False  # a refused registration keeps the old file
+                return _emit({"outcome": "FAILED", "error": error}, ok=False)
+            if wallet.verified:
+                return _emit({"outcome": "REGISTERED", "channel_id": wallet.channel_id})
+            return _emit({"outcome": "FAILED",
+                          "error": wallet.verify_failure or "Timeout"}, ok=False)
         if args.cmd == "deposit":
             target = wallet.state.my_deposit + args.amount
             wallet.deposit(args.amount)
@@ -288,22 +254,19 @@ def _wallet_dispatch(args) -> int:
             return _emit({"outcome": "DEPOSITED", "amount": args.amount,
                           "channel_deposit": wallet.state.my_deposit})
         if args.cmd == "balance":
-            session.remote.refresh()
-            session.send_all(wallet.client_tick(session.remote.now))
+            session.peer.tick()
             state = wallet.state
             return _emit({
-                "account": session.remote.balance(wallet.client_id),
+                "account": session.peer.remote.balance(wallet.client_id),
                 "channel_deposit": state.my_deposit if state else 0,
                 "available": state.available_balance() if state else 0,
                 "credit_received": state.credit_received if state else 0,
                 "credit_sent": state.credit_sent if state else 0,
             })
         if args.cmd == "pay":
-            wallet.payment_seq = getattr(wallet, "payment_seq", 0) + 1
-            pid = f"{wallet.client_id}-pay-{wallet.payment_seq:05d}"
-            session.send_all(wallet.start_payment(
-                pid, args.payee, args.amount, args.expiry_delta,
-                session.remote.now))
+            pid = session.next_payment_id("pay")
+            session.peer.send_all(wallet.start_payment(
+                pid, args.payee, args.amount, args.expiry_delta, session.peer.remote.now))
             session.pump(lambda: wallet.flows[pid].outcome is not None,
                          timeout_s=args.timeout)
             flow = wallet.flows[pid]
@@ -312,8 +275,7 @@ def _wallet_dispatch(args) -> int:
                           "reason": flow.reason},
                          ok=outcome == "PAID")
         if args.cmd == "invoice":
-            wallet.payment_seq = getattr(wallet, "payment_seq", 0) + 1
-            pid = f"{wallet.client_id}-inv-{wallet.payment_seq:05d}"
+            pid = session.next_payment_id("inv")
             wallet.open_invoice(pid, args.amount, args.expiry_delta)
             done = lambda: any(
                 f.role == "payee" and f.amount == args.amount and f.outcome
@@ -326,7 +288,7 @@ def _wallet_dispatch(args) -> int:
                           "credit_received": wallet.state.credit_received},
                          ok=outcome in ("RECEIVED", "CLAIM_ON_CHAIN"))
         if args.cmd == "close":
-            wallet.start_close(session.remote.now)
+            wallet.start_close(session.peer.remote.now)
             session.pump(lambda: wallet.settlement is not None,
                          timeout_s=args.timeout)
             ok = wallet.settlement is not None

@@ -135,6 +135,12 @@ class ScenarioError(HubpayError):
     code = "ScenarioError"
 
 
+# What decoding a malformed wire body raises: a missing key or index, a
+# wrong type, a bad number or hex string. The hub and its daemon answer a
+# body that raises one of these with an EncodingError.
+DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError)
+
+
 # Reject reasons returned (not raised) by the verify_* operations.
 REJECT_BAD_SIGNATURE = "BadSignature"
 REJECT_INSUFFICIENT_CAPACITY = "InsufficientCapacity"

@@ -18,7 +18,7 @@ from functools import partial
 from . import crypto, watchdog
 from .channel import ChannelState, close_balances
 from .crypto import PrivateKey, PublicKey, generate_keypair
-from .errors import HubpayError, RecoveryError
+from .errors import DECODE_ERRORS, HubpayError, RecoveryError
 from .ledger import EV_CLOSED, STATUS_OPEN, Ledger
 from .messages import (
     MODE_CONCURRENT,
@@ -61,29 +61,6 @@ class HubConfig:
     penalty_bps: int = 1000
     channel_float: int = 1_000_000
     key_seed: bytes = b"hub-key-seed"
-
-    def to_jsonable(self) -> dict:
-        return {
-            "hub_id": self.hub_id,
-            "fee_bps": self.fee_bps,
-            "claim_margin_delta": self.claim_margin_delta,
-            "dispute_window": self.dispute_window,
-            "penalty_bps": self.penalty_bps,
-            "channel_float": self.channel_float,
-            "key_seed": self.key_seed.hex(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "HubConfig":
-        return cls(
-            hub_id=obj["hub_id"],
-            fee_bps=int(obj["fee_bps"]),
-            claim_margin_delta=int(obj["claim_margin_delta"]),
-            dispute_window=int(obj["dispute_window"]),
-            penalty_bps=int(obj["penalty_bps"]),
-            channel_float=int(obj["channel_float"]),
-            key_seed=bytes.fromhex(obj["key_seed"]),
-        )
 
 
 @dataclass
@@ -215,9 +192,6 @@ class HubCore:
             return None
         return self.channels.get(reg.channel_id)
 
-    def ledger_of_channel(self, channel_id: str) -> Ledger:
-        return self.ledgers[self.channels[channel_id].params.ledger_id]
-
     def _journal(self, entry: dict) -> None:
         if not self.replaying:
             self.store.append(entry)
@@ -240,8 +214,11 @@ class HubCore:
         try:
             return handler(src, msg.body, now)
         except HubpayError as exc:
-            return [(src, error_message(exc.code, exc.detail,
-                                        payment_id=msg.body.get("payment_id")))]
+            code, detail = exc.code, exc.detail
+        except DECODE_ERRORS as exc:
+            # a malformed body; replaying its journal entry answers the same
+            code, detail = "EncodingError", f"malformed {msg.kind}: {exc!r}"
+        return [(src, error_message(code, detail, payment_id=msg.body.get("payment_id")))]
 
     def _on_register(self, src: str, body: dict, now: int) -> list[tuple[str, WireMessage]]:
         client_id = body["client_id"]
@@ -291,7 +268,7 @@ class HubCore:
         if target not in self.registry:
             return [(src, error_message("NoRoute", f"unknown client {target}",
                                         payment_id=body.get("payment_id")))]
-        return [(target, WireMessage(K_PROPOSAL_RELAY, body))]
+        return [(target, WireMessage(K_PROPOSAL_RELAY, {**body, "from": src}))]
 
     def _on_promise(self, src: str, body: dict, now: int) -> list[tuple[str, WireMessage]]:
         payment_id = body.get("payment_id")
@@ -636,7 +613,6 @@ class HubCore:
 
     def persist_state(self) -> dict:
         return {
-            "config": self.config.to_jsonable(),
             "registry": {cid: r.to_jsonable() for cid, r in sorted(self.registry.items())},
             "channels": {cid: s.to_jsonable() for cid, s in sorted(self.channels.items())},
             "routes": {h.hex(): c.to_jsonable() for h, c in sorted(self.routes.items())},

@@ -247,16 +247,18 @@ class Ledger:
                 if proof is None:
                     raise ProofRequired("a receipt is on record for this direction")
                 receipt, mproof = proof
-                if receipt.signing_bytes != recorded.signing_bytes:
-                    # A fresher receipt may ride in with the claim.
+                # a fresher receipt may ride in with the claim; it is
+                # recorded only once the whole claim is valid
+                fresher = receipt.signing_bytes != recorded.signing_bytes
+                if fresher:
                     self._check_receipt(contract, receipt)
                     if receipt.issuer != promise.sender or receipt.index <= recorded.index:
                         raise ProofRequired("proof receipt does not match the record")
-                    self._record_receipt(contract, claimant, receipt)
-                    recorded = receipt
-                if not merkle_verify(recorded.pending_root, promise.digest, mproof):
+                if not merkle_verify(receipt.pending_root, promise.digest, mproof):
                     raise ProofRequired("promise not in the receipt's pending set")
-                basis_index = recorded.index
+                if fresher:
+                    self._record_receipt(contract, claimant, receipt)
+                basis_index = receipt.index
         self._emit(EV_CLAIMED, {
             "channel_id": channel_id,
             "claimant": claimant,

@@ -96,14 +96,6 @@ def adversary_scenario(directive: str, target: str, seed: int = 3,
     return scenario
 
 
-def adversary_corpus(mode: str = "SERIALIZED", seed: int = 3) -> list[dict]:
-    corpus = []
-    for target in ("hub", "client"):
-        for directive in DIRECTIVES:
-            corpus.append(adversary_scenario(directive, target, seed=seed, mode=mode))
-    return corpus
-
-
 def cross_ledger(seed: int = 5, mode: str = "SERIALIZED") -> dict:
     """Sender and payee live on different ledgers with different signature
     schemes; the hub bridges them with one hashlock."""

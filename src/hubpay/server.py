@@ -3,8 +3,11 @@
 One process owns the hub core plus its mock ledgers. Every connection is
 served by a thread, but all state mutations funnel through a single lock, so
 the ledger keeps its single-writer guarantee. A ticker thread advances the
-logical clock and runs the hub's background handler. Wallets reach their
-ledger through LEDGER_OP frames and mirror it locally from the event log.
+logical clock and runs the hub's background handler. The first hello on a
+connection binds it to one client, and every later protocol frame on it is
+that client's. Wallets reach their ledger through LEDGER_OP frames, whose
+arguments ``LEDGER_OPS`` declares once, and mirror it locally from the event
+log; ``SocketWallet`` is the one loop that drives a wallet over a socket.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ import threading
 from collections import Counter
 from dataclasses import fields
 
-from .crypto import MerkleProof
-from .errors import HubpayError, NotFound
+from .crypto import MerkleProof, Signature
+from .errors import DECODE_ERRORS, EncodingError, HubpayError, NotFound
 from .hub import HubConfig, HubCore, HubStore
 from .ledger import Ledger, LedgerEvent, apply_event
 from .messages import ClosingRecord, Promise, Receipt
+from .wallet import WalletConfig, WalletCore
 from .wire import (
     K_ADMIN,
     K_ADMIN_RESULT,
@@ -27,18 +31,58 @@ from .wire import (
     K_LEDGER_RESULT,
     K_OK,
     K_REGISTER,
+    K_REGISTER_OK,
     FrameStream,
     WireMessage,
     error_message,
 )
 
+REPLY_TIMEOUT_S = 10.0  # how long a wallet waits on the hub for a ledger result
 
-def _deserialize_proof(args: dict) -> tuple[Receipt, MerkleProof] | None:
-    if not args.get("proof"):
-        return None
-    receipt = Receipt.from_jsonable(args["proof"]["receipt"])
-    proof = MerkleProof.from_jsonable(args["proof"]["merkle"])
-    return receipt, proof
+
+# -- ledger ops: one wire form per argument ---------------------------------------
+
+def _encode_arg(value):
+    """The wire form of a ledger-op argument."""
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, Signature):
+        return {"scheme": value.scheme, "data": value.data.hex()}
+    if isinstance(value, tuple):
+        return [_encode_arg(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode_arg(v) for k, v in value.items()}
+    if hasattr(value, "to_jsonable"):
+        return value.to_jsonable()
+    return value
+
+
+def _optional(decode):
+    return lambda obj: None if obj is None else decode(obj)
+
+
+def _proof(obj) -> tuple[Receipt, MerkleProof]:
+    receipt, merkle = obj
+    return Receipt.from_jsonable(receipt), MerkleProof.from_jsonable(merkle)
+
+
+def _signatures(obj) -> dict[str, Signature]:
+    return {party: Signature(s["scheme"], bytes.fromhex(s["data"]))
+            for party, s in obj.items()}
+
+
+# The ledger ops a wallet submits, each with one decoder per argument in
+# ``Ledger`` call order; ``RemoteLedger`` encodes every argument with
+# ``_encode_arg``.
+LEDGER_OPS = {
+    "deposit": (str, str, int),
+    "claim_promise": (str, str, Promise.from_jsonable, bytes.fromhex, _optional(_proof)),
+    "initiate_dispute": (str, str, _optional(Receipt.from_jsonable)),
+    "respond_dispute": (str, str, Receipt.from_jsonable),
+    "finalize_settlement": (str,),
+    "refresh_claim_proof": (str, str, bytes.fromhex, _proof),
+    "cooperative_close": (str, ClosingRecord.from_jsonable, _signatures),
+}
 
 
 class HubServer:
@@ -135,7 +179,9 @@ class HubServer:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         stream = FrameStream(conn)
-        bound: str | None = None
+        # the connection's client, named once by its first hello (an OK or
+        # a REGISTER); every later protocol frame on it comes from this client
+        client: str | None = None
         try:
             while not self._stop.is_set():
                 msg = stream.recv()
@@ -146,18 +192,18 @@ class HubServer:
                     stream.send(self._ledger_op(msg.body))
                 elif msg.kind == K_ADMIN:
                     stream.send(self._admin(msg.body))
-                elif msg.kind == K_OK:
-                    # session hello: bind this connection to a client id
-                    bound = msg.body.get("client_id", bound)
-                    if bound is not None:
-                        self.connections[bound] = stream
                 else:
-                    src = msg.body.get("client_id") or msg.body.get("from") or bound
-                    if msg.kind == K_REGISTER or bound is None:
-                        bound = src
-                    if bound is not None:
-                        self.connections[bound] = stream
-                    if src is None:
+                    named = msg.body.get("client_id")
+                    if client is None and msg.kind in (K_OK, K_REGISTER) \
+                            and isinstance(named, str):
+                        client = named
+                    if client is not None:
+                        self.connections[client] = stream
+                    if msg.kind == K_OK:
+                        pass  # a hello only binds
+                    elif client is not None and (msg.kind != K_REGISTER or named == client):
+                        src = client
+                    else:
                         stream.send(error_message("NoRoute", "unidentified sender"))
                 end_of_batch = not stream.buffered()
                 if src is None and not end_of_batch:
@@ -171,31 +217,34 @@ class HubServer:
                     streams = self._enqueue(outbox)
                     self._count_notes()
                 self._flush(streams)
-        except OSError:
-            pass
+        except (OSError, EncodingError):
+            pass  # the peer left, or sent bytes that are not frames
         finally:
-            if bound is not None and self.connections.get(bound) is stream:
-                self.connections.pop(bound, None)
+            if client is not None and self.connections.get(client) is stream:
+                self.connections.pop(client, None)
             stream.close()
 
     # -- wallet-facing ledger access ---------------------------------------------------
 
     def _ledger_op(self, body: dict) -> WireMessage:
-        ledger = self.ledgers.get(body.get("ledger_id"))
-        if ledger is None:
-            return WireMessage(K_LEDGER_RESULT,
-                               {"ok": False, "error": "NotFound", "detail": "ledger"})
-        op = body.get("op")
-        args = body.get("args", {})
         try:
             with self.lock:
-                result = self._run_ledger_op(ledger, op, args)
+                result = self._run_ledger_op(body)
             return WireMessage(K_LEDGER_RESULT, {"ok": True, "result": result})
+        except DECODE_ERRORS as exc:
+            # every Ledger method validates before it emits, so a malformed
+            # op leaves the ledger as it was
+            error = EncodingError(f"malformed ledger op: {exc!r}")
         except HubpayError as exc:
-            return WireMessage(K_LEDGER_RESULT,
-                               {"ok": False, "error": exc.code, "detail": exc.detail})
+            error = exc
+        return WireMessage(K_LEDGER_RESULT,
+                           {"ok": False, "error": error.code, "detail": error.detail})
 
-    def _run_ledger_op(self, ledger: Ledger, op: str, args: dict):
+    def _run_ledger_op(self, body: dict):
+        ledger = self.ledgers.get(body.get("ledger_id"))
+        if ledger is None:
+            raise NotFound("ledger")
+        op, args = body.get("op"), body.get("args")
         if op == "meta":
             return {"ledger_id": ledger.ledger_id, "scheme": ledger.scheme,
                     "genesis": ledger.genesis_balances, "now": ledger.now}
@@ -203,39 +252,14 @@ class HubServer:
             return {"events": [e.to_jsonable()
                                for e in ledger.events_since(int(args["seq"]))],
                     "now": ledger.now}
-        if op == "deposit":
-            ledger.deposit(args["channel_id"], args["party"], int(args["amount"]))
-            return {}
-        if op == "claim_promise":
-            ledger.claim_promise(args["channel_id"], args["claimant"],
-                                 Promise.from_jsonable(args["promise"]),
-                                 bytes.fromhex(args["preimage"]),
-                                 _deserialize_proof(args))
-            return {}
-        if op == "initiate_dispute":
-            receipt = Receipt.from_jsonable(args["receipt"]) if args.get("receipt") else None
-            ledger.initiate_dispute(args["channel_id"], args["party"], receipt)
-            return {}
-        if op == "respond_dispute":
-            ledger.respond_dispute(args["channel_id"], args["party"],
-                                   Receipt.from_jsonable(args["receipt"]))
-            return {}
-        if op == "finalize_settlement":
-            return {"settlement": ledger.finalize_settlement(args["channel_id"])}
-        if op == "refresh_claim_proof":
-            ledger.refresh_claim_proof(args["channel_id"], args["claimant"],
-                                       bytes.fromhex(args["hashlock"]),
-                                       _deserialize_proof(args))
-            return {}
-        if op == "cooperative_close":
-            from . import crypto
-
-            record = ClosingRecord.from_jsonable(args["record"])
-            sigs = {party: crypto.Signature(s["scheme"], bytes.fromhex(s["data"]))
-                    for party, s in args["signatures"].items()}
-            return {"settlement": ledger.cooperative_close(args["channel_id"],
-                                                           record, sigs)}
-        raise NotFound(f"ledger op {op}")
+        decoders = LEDGER_OPS.get(op)
+        if decoders is None:
+            raise NotFound(f"ledger op {op}")
+        if len(args) != len(decoders):
+            raise EncodingError(f"ledger op {op} takes {len(decoders)} arguments")
+        result = getattr(ledger, op)(*(decode(arg) for decode, arg in zip(decoders, args)))
+        # the settlement, from the two ops that return one
+        return result if isinstance(result, dict) else None
 
     # -- administration ------------------------------------------------------------------
 
@@ -307,11 +331,11 @@ class RemoteLedger:
                             {k: int(v) for k, v in meta["genesis"].items()})
         self.refresh()
 
-    def _call(self, op: str, args: dict) -> dict:
+    def _call(self, op: str, args):
         self.stream.send(WireMessage(K_LEDGER_OP, {
             "ledger_id": self.ledger_id, "op": op, "args": args}))
         while True:
-            msg = self.stream.recv(timeout=10.0)
+            msg = self.stream.recv(timeout=REPLY_TIMEOUT_S)
             if msg is None:
                 raise HubpayError("hub connection closed")
             if msg.kind != K_LEDGER_RESULT:
@@ -322,6 +346,12 @@ class RemoteLedger:
                 exc.code = msg.body.get("error", "HubpayError")
                 raise exc
             return msg.body.get("result", {})
+
+    def _submit(self, op: str, *args):
+        """Run one of ``LEDGER_OPS`` on the host, then re-sync the replica."""
+        result = self._call(op, [_encode_arg(arg) for arg in args])
+        self.refresh()
+        return result
 
     def refresh(self) -> None:
         result = self._call("events_since", {"seq": len(self.local.events)})
@@ -351,55 +381,77 @@ class RemoteLedger:
     def events_since(self, seq: int):
         return self.local.events_since(seq)
 
-    # mutations go to the host, then re-sync
+    # mutations go to the host
     def deposit(self, channel_id: str, party: str, amount: int) -> None:
-        self._call("deposit", {"channel_id": channel_id, "party": party,
-                               "amount": amount})
-        self.refresh()
+        self._submit("deposit", channel_id, party, amount)
 
     def claim_promise(self, channel_id: str, claimant: str, promise: Promise,
                       preimage: bytes, proof=None) -> None:
-        args = {"channel_id": channel_id, "claimant": claimant,
-                "promise": promise.to_jsonable(), "preimage": preimage.hex()}
-        if proof is not None:
-            args["proof"] = {"receipt": proof[0].to_jsonable(),
-                             "merkle": proof[1].to_jsonable()}
-        self._call("claim_promise", args)
-        self.refresh()
+        self._submit("claim_promise", channel_id, claimant, promise, preimage, proof)
 
     def initiate_dispute(self, channel_id: str, party: str, receipt=None) -> None:
-        self._call("initiate_dispute", {
-            "channel_id": channel_id, "party": party,
-            "receipt": receipt.to_jsonable() if receipt else None})
-        self.refresh()
+        self._submit("initiate_dispute", channel_id, party, receipt)
 
     def respond_dispute(self, channel_id: str, party: str, receipt) -> None:
-        self._call("respond_dispute", {"channel_id": channel_id, "party": party,
-                                       "receipt": receipt.to_jsonable()})
-        self.refresh()
+        self._submit("respond_dispute", channel_id, party, receipt)
 
     def finalize_settlement(self, channel_id: str) -> dict:
-        result = self._call("finalize_settlement", {"channel_id": channel_id})
-        self.refresh()
-        return result["settlement"]
+        return self._submit("finalize_settlement", channel_id)
 
     def refresh_claim_proof(self, channel_id: str, claimant: str,
                             hashlock: bytes, proof) -> None:
-        self._call("refresh_claim_proof", {
-            "channel_id": channel_id, "claimant": claimant,
-            "hashlock": hashlock.hex(),
-            "proof": {"receipt": proof[0].to_jsonable(),
-                      "merkle": proof[1].to_jsonable()}})
-        self.refresh()
+        self._submit("refresh_claim_proof", channel_id, claimant, hashlock, proof)
 
     def cooperative_close(self, channel_id: str, record: ClosingRecord,
                           signatures: dict) -> dict:
-        args = {"channel_id": channel_id, "record": record.to_jsonable(),
-                "signatures": {p: {"scheme": s.scheme, "data": s.data.hex()}
-                               for p, s in signatures.items()}}
-        result = self._call("cooperative_close", args)
-        self.refresh()
-        return result["settlement"]
+        return self._submit("cooperative_close", channel_id, record, signatures)
+
+
+class SocketWallet:
+    """A ``WalletCore`` driven over its own hub connection: the stream, the
+    ledger replica and the loop that feeds the wallet its frames. Each
+    ``pump`` is one delivery batch and ends it with ``flush_receipts``."""
+
+    def __init__(self, stream: FrameStream, config: WalletConfig):
+        self.stream = stream
+        self.remote = RemoteLedger(stream, config.ledger_id)
+        self.wallet = WalletCore(config, self.remote)
+
+    def send_all(self, outbox) -> None:
+        for _, msg in outbox:
+            self.stream.send(msg)
+
+    def handle(self, msg: WireMessage) -> None:
+        if msg.kind == K_REGISTER_OK:
+            # the deployment must be in the replica before it is verified
+            self.remote.refresh()
+        self.send_all(self.wallet.handle_message("hub", msg, self.remote.now))
+
+    def pump(self, timeout: float = 0.0) -> bool:
+        """Handle the frames set aside during ledger calls, then every frame
+        of one read, waiting up to ``timeout`` seconds for it, as one
+        delivery batch. False once the hub has closed the connection."""
+        while self.remote.pushback:
+            self.handle(self.remote.pushback.pop(0))
+        try:
+            msg = self.stream.recv(timeout=timeout)
+        except (BlockingIOError, TimeoutError):
+            msg = False  # nothing arrived
+        finally:
+            self.stream.sock.settimeout(REPLY_TIMEOUT_S)
+        if msg is None:
+            return False
+        while msg:
+            self.handle(msg)
+            # the rest of the same read joins this batch
+            msg = self.stream.recv() if self.stream.buffered() else None
+        self.send_all(self.wallet.flush_receipts())
+        return True
+
+    def tick(self) -> None:
+        """Refresh the replica and run the wallet's background handler."""
+        self.remote.refresh()
+        self.send_all(self.wallet.client_tick(self.remote.now))
 
 
 def build_ledgers(config: dict) -> dict[str, Ledger]:

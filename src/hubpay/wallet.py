@@ -211,7 +211,6 @@ class WalletCore:
             return []
         return [("hub", WireMessage(K_PROPOSAL_RELAY, {
             "payment_id": payment_id,
-            "from": self.client_id,
             "to": payee,
             "amount": amount,
             "expiry_delta": expiry_delta,
@@ -346,7 +345,6 @@ class WalletCore:
             self.flow_by_hashlock[proposal.hashlock] = payment_id
             return [("hub", WireMessage(K_PROPOSAL_RELAY, {
                 "payment_id": payment_id,
-                "from": self.client_id,
                 "to": body["from"],
                 "amount": int(body["amount"]),
                 "proposal": proposal.to_jsonable(),

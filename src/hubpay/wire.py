@@ -60,7 +60,10 @@ class WireMessage:
         kind = fields.get("kind")
         if kind not in KINDS:
             raise EncodingError(f"unknown message kind {kind!r}")
-        return cls(kind, fields.get("body") or {})
+        body = fields.get("body") or {}
+        if not isinstance(body, dict):
+            raise EncodingError(f"{kind} body is not an object")
+        return cls(kind, body)
 
 
 def error_message(code: str, detail: str = "", **extra) -> WireMessage:
@@ -87,15 +90,17 @@ def encode_frame(msg: WireMessage) -> bytes:
 def decode_frames(buffer: bytes) -> tuple[list[WireMessage], bytes]:
     """Pull every complete frame from ``buffer``; returns (messages, rest)."""
     messages = []
-    while len(buffer) >= 4:
-        (length,) = struct.unpack(">I", buffer[:4])
+    offset = 0  # bytes consumed; the rest is copied once, at the end
+    while len(buffer) - offset >= 4:
+        (length,) = struct.unpack_from(">I", buffer, offset)
         if length > MAX_FRAME:
             raise EncodingError(f"frame length {length} exceeds limit")
-        if len(buffer) < 4 + length:
+        end = offset + 4 + length
+        if len(buffer) < end:
             break
-        messages.append(WireMessage.from_bytes(buffer[4:4 + length]))
-        buffer = buffer[4 + length:]
-    return messages, buffer
+        messages.append(WireMessage.from_bytes(buffer[offset + 4:end]))
+        offset = end
+    return messages, buffer[offset:]
 
 
 class FrameStream:
@@ -108,7 +113,7 @@ class FrameStream:
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self._buffer = b""
-        self._pending: list[WireMessage] = []
+        self._pending: deque[WireMessage] = deque()
         self._outbox: deque[WireMessage] = deque()
         self._sending = threading.Lock()
 
@@ -135,13 +140,13 @@ class FrameStream:
     def recv(self, timeout: float | None = None) -> WireMessage | None:
         """Next frame, or None once the peer closes the stream."""
         if self._pending:
-            return self._pending.pop(0)
+            return self._pending.popleft()
         self.sock.settimeout(timeout)
         while True:
             messages, self._buffer = decode_frames(self._buffer)
             if messages:
-                self._pending = messages[1:]
-                return messages[0]
+                self._pending.extend(messages)
+                return self._pending.popleft()
             chunk = self.sock.recv(65536)
             if not chunk:
                 return None

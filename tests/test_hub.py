@@ -290,6 +290,20 @@ def test_snapshot_plus_journal_recovery():
     assert len(recovered.routes) == 2
 
 
+def test_malformed_frame_is_refused_and_replays_the_same():
+    # a PROMISE with no promise in it is journaled like any other frame, so
+    # the hub must answer it, live and in replay, without raising
+    hub, ledger = build_hub()
+    register(hub, ledger, "alice")
+    hub.snapshot_now()
+    out = hub.handle_message("alice", WireMessage(K_PROMISE, {
+        "payment_id": "p1", "payee": "bob"}), now=1)
+    assert [(dst, msg.kind, msg.body["code"]) for dst, msg in out] == \
+        [("alice", "ERROR", "EncodingError")]
+    recovered = HubCore.recover(hub.config, hub.ledgers, hub.store)
+    assert recovered.persist_json() == hub.persist_json()
+
+
 def test_journal_replay_resumes_in_flight_route():
     hub, ledger = build_hub(delta=4)
     store = hub.store

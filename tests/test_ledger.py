@@ -461,6 +461,25 @@ def test_replay_from_event_log_reproduces_state():
         "DEPLOYED", "DEPOSITED", "DISPUTE_OPENED", "CLAIMED", "RECEIPT_SUBMITTED", "CLOSED"}
 
 
+def test_claim_rejected_for_its_proof_records_no_fresher_receipt():
+    # alice opens the dispute with her receipt index 1; the hub claims with
+    # a fresher alice receipt, index 2, whose root omits the promise
+    ledger, pair = funded_ledger(mode=MODE_CONCURRENT)
+    cid = pair.params.channel_id
+    pre = b"\x25" * 32
+    promise = signed_promise(pair, "alice", 1, 25, pre, expiry=100)
+    other = signed_promise(pair, "alice", 2, 10, b"\x26" * 32, expiry=100)
+    ledger.initiate_dispute(cid, "alice", signed_receipt(
+        pair, "alice", 1, 0, merkle_root([promise.digest])))
+    fresher = signed_receipt(pair, "alice", 2, 0, merkle_root([other.digest]))
+    events = len(ledger.events)
+    with pytest.raises(ProofRequired):
+        ledger.claim_promise(cid, "hub", promise, pre,
+                             (fresher, merkle_prove([other.digest], 0)))
+    assert len(ledger.events) == events
+    assert ledger.read_state(cid)["dispute"]["misbehaving"] == []
+
+
 def test_snapshot_round_trip():
     ledger, pair = funded_ledger()
     ledger.initiate_dispute(pair.params.channel_id, "alice",

@@ -2,18 +2,19 @@
 
 import json
 import socket
+import struct
 import threading
 import time
 from dataclasses import replace
 
 import pytest
 
-from hubpay import cli
+from hubpay import cli, codec
 from hubpay.channel import ChannelState
 from hubpay.errors import EncodingError
 from hubpay.hub import HubConfig
-from hubpay.server import HubServer, RemoteLedger, build_hub_config, build_ledgers
-from hubpay.wallet import WalletConfig, WalletCore
+from hubpay.server import HubServer, SocketWallet, build_hub_config, build_ledgers
+from hubpay.wallet import WalletConfig
 from hubpay.wire import (
     KINDS,
     FrameStream,
@@ -59,6 +60,12 @@ def test_unknown_kind_rejected():
         decode_frames(tampered)
 
 
+def test_body_that_is_not_an_object_rejected():
+    payload = codec.canonical_encode(codec.TAG_WIRE, {"kind": "PROMISE", "body": [1]})
+    with pytest.raises(EncodingError):
+        decode_frames(struct.pack(">I", len(payload)) + payload)
+
+
 def test_spec_protocol_kinds_all_present():
     required = {"REGISTER", "PROPOSAL_RELAY", "PROMISE", "SECRET", "RECEIPT",
                 "CLOSE_REQUEST", "ERROR"}
@@ -66,8 +73,6 @@ def test_spec_protocol_kinds_all_present():
 
 
 def test_oversize_frame_rejected():
-    import struct
-
     with pytest.raises(EncodingError):
         decode_frames(struct.pack(">I", 1 << 25) + b"x")
 
@@ -204,6 +209,20 @@ def test_wallet_pay_without_listener_fails_nonzero(live_hub, tmp_path, capsys):
     assert out["outcome"] == "FAILED"
 
 
+def test_refused_registration_keeps_the_state_file(live_hub, tmp_path, capsys):
+    _, addr = live_hub
+    state = tmp_path / "alice.json"
+    assert cli.wallet_main(["--hub", addr, "--state", str(state), "register",
+                            "--id", "alice", "--ledger", "L1"]) == 0
+    saved = state.read_text()
+    capsys.readouterr()
+    assert cli.wallet_main(["--hub", addr, "--state", str(state), "register",
+                            "--id", "alice", "--ledger", "L1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"outcome": "FAILED",
+                                                   "error": "AlreadyRegistered"}
+    assert state.read_text() == saved
+
+
 def test_admin_channels_and_snapshot(live_hub, tmp_path, capsys):
     server, addr = live_hub
     a_state = str(tmp_path / "a.json")
@@ -270,48 +289,57 @@ def test_simnet_cli_fails_on_unmet_expectation(tmp_path, capsys):
     capsys.readouterr()
 
 
-class LivePeer:
-    """A CONCURRENT wallet on its own connection, pumped without blocking;
-    each pump is one delivery batch."""
+def live_peer(address, client_id: str) -> SocketWallet:
+    """A registered CONCURRENT wallet on its own connection."""
+    stream = FrameStream(socket.create_connection(address, timeout=10))
+    peer = SocketWallet(stream, WalletConfig(client_id=client_id, ledger_id="L1",
+                                             mode="CONCURRENT", poll_interval=40))
+    peer.send_all(peer.wallet.start_register())
+    deadline = time.monotonic() + 10
+    while not peer.wallet.verified:
+        assert time.monotonic() < deadline, f"{client_id} not registered"
+        assert peer.pump(0.1), "hub closed the connection"
+    return peer
 
-    def __init__(self, address, client_id: str):
-        self.stream = FrameStream(socket.create_connection(address, timeout=10))
-        self.remote = RemoteLedger(self.stream, "L1")
-        self.wallet = WalletCore(WalletConfig(client_id=client_id, ledger_id="L1",
-                                              mode="CONCURRENT", poll_interval=40),
-                                 self.remote)
-        for _, msg in self.wallet.start_register():
-            self.stream.send(msg)
-        while not self.wallet.verified:
-            reply = self.stream.recv(timeout=10)
-            self.remote.refresh()
-            self.handle(reply)
 
-    def handle(self, msg: WireMessage) -> None:
-        for _, out in self.wallet.handle_message("hub", msg, self.remote.now):
-            self.stream.send(out)
+def test_relayed_proposal_names_the_connections_client(live_hub):
+    server, _ = live_hub
+    alice, bob = (live_peer(server.address, cid) for cid in ("alice", "bob"))
+    alice.stream.send(WireMessage("PROPOSAL_RELAY", {
+        "payment_id": "p1", "from": "carol", "to": "bob", "amount": 5,
+        "expiry_delta": 100}))
+    relayed = bob.stream.recv(timeout=5)
+    assert relayed.kind == "PROPOSAL_RELAY"
+    assert relayed.body["from"] == "alice"
+    for peer in (alice, bob):
+        peer.stream.close()
 
-    def pump(self) -> None:
-        while self.remote.pushback:
-            self.handle(self.remote.pushback.pop(0))
-        while True:
-            try:
-                msg = self.stream.recv(timeout=0)
-            except (BlockingIOError, TimeoutError):
-                break
-            finally:
-                self.stream.sock.settimeout(10)
-            if msg is None:
-                raise ConnectionError("hub closed the connection")
-            self.handle(msg)
-        for _, out in self.wallet.flush_receipts():
-            self.stream.send(out)
 
-    def tick(self) -> None:
-        self.remote.refresh()
-        self.pump()
-        for _, out in self.wallet.client_tick(self.remote.now):
-            self.stream.send(out)
+@pytest.mark.parametrize("hello", ["OK", "REGISTER"])
+def test_second_hello_does_not_rebind_the_connection(live_hub, hello):
+    server, _ = live_hub
+    alice, bob = (live_peer(server.address, cid) for cid in ("alice", "bob"))
+    alice.stream.send(WireMessage(hello, {"client_id": "bob"}))
+    alice.stream.send(WireMessage("PROPOSAL_RELAY", {
+        "payment_id": "p1", "to": "bob", "amount": 5, "expiry_delta": 100}))
+    relayed = bob.stream.recv(timeout=5)
+    assert (relayed.kind, relayed.body["from"]) == ("PROPOSAL_RELAY", "alice")
+    assert server.connections["bob"] is not server.connections["alice"]
+    for peer in (alice, bob):
+        peer.stream.close()
+
+
+def test_malformed_ledger_op_leaves_the_connection_open(live_hub):
+    server, _ = live_hub
+    stream = FrameStream(socket.create_connection(server.address, timeout=10))
+    stream.send(WireMessage("LEDGER_OP", {"ledger_id": "L1", "op": "deposit"}))
+    reply = stream.recv(timeout=5)
+    assert reply.kind == "LEDGER_RESULT"
+    assert (reply.body["ok"], reply.body["error"]) == (False, "EncodingError")
+    stream.send(WireMessage("LEDGER_OP", {"ledger_id": "L1", "op": "meta", "args": {}}))
+    reply = stream.recv(timeout=5)
+    assert reply.body["ok"] and reply.body["result"]["ledger_id"] == "L1"
+    stream.close()
 
 
 def test_daemon_orders_receipts_after_the_promises_they_commit_to(live_hub):
@@ -319,7 +347,7 @@ def test_daemon_orders_receipts_after_the_promises_they_commit_to(live_hub):
     # routes promises to a client on one connection's thread while it
     # receipts that client's secrets on another's
     server, _ = live_hub
-    peers = {cid: LivePeer(server.address, cid) for cid in ("alice", "bob")}
+    peers = {cid: live_peer(server.address, cid) for cid in ("alice", "bob")}
     for peer in peers.values():
         peer.wallet.deposit(500)
     deadline = time.monotonic() + 5
@@ -328,6 +356,7 @@ def test_daemon_orders_receipts_after_the_promises_they_commit_to(live_hub):
                   for cid, peer in peers.items()):
         assert time.monotonic() < deadline, "deposits not observed"
         for peer in peers.values():
+            peer.pump()
             peer.tick()
         time.sleep(0.02)
     per_direction, window, amount = 60, 8, 5
@@ -344,9 +373,8 @@ def test_daemon_orders_receipts_after_the_promises_they_commit_to(live_hub):
                 pid = f"{payer}-{issued[payer]:03d}"
                 proposal = dst.wallet.issue_proposal(pid, payer, amount, 400,
                                                      dst.remote.now)
-                for _, out in src.wallet.start_payment_with_proposal(
-                        pid, payee, proposal, src.remote.now):
-                    src.stream.send(out)
+                src.send_all(src.wallet.start_payment_with_proposal(
+                    pid, payee, proposal, src.remote.now))
                 open_ids.add(pid)
         for peer in peers.values():
             peer.pump()
