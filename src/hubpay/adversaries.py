@@ -12,8 +12,8 @@ active attack is one-shot and records its outcome in the actor's trace.
 
 from __future__ import annotations
 
-from .channel import ChannelState
-from .crypto import hash_commit, new_preimage, sign
+from .channel import ChannelState, seal_promises
+from .crypto import hash_commit, new_preimage
 from .errors import HubpayError
 from .hub import ROUTE_SETTLED_IN, HubCore, RouteContext
 from .ledger import STATUS_CLOSING, STATUS_OPEN, Ledger
@@ -39,15 +39,14 @@ class ScriptedHub(HubCore):
                          amount: int, expiry: int, now: int) -> Promise:
         if "OVERSPEND_PROMISE" not in self.behaviors:
             return super()._forward_promise(out_state, incoming, amount, expiry, now)
-        # sign a forwarded promise far beyond the route's backing,
-        # bypassing the hub's own capacity accounting
+        # seal a forwarded promise far beyond the route's backing, as a
+        # batch of one that goes out at once, bypassing the hub's own
+        # capacity accounting
         amount = out_state.available_balance() + incoming.amount + 1_000
         outgoing = Promise(out_state.params.channel_id, self.config.hub_id,
                            out_state.next_out_index, amount, incoming.hashlock, expiry)
-        outgoing = outgoing.with_sig(sign(self.sk_for(out_state.params.ledger_id),
-                                          outgoing.signing_bytes))
         out_state.next_out_index += 1
-        return outgoing
+        return seal_promises([outgoing], self.sk_for(out_state.params.ledger_id))[0]
 
     def _should_send_receipt(self) -> bool:
         return "WITHHOLD_RECEIPT" not in self.behaviors
@@ -171,7 +170,7 @@ class ScriptedWallet(WalletCore):
         hashlock = hash_commit(new_preimage(self.rng))
         promise = Promise(state.params.channel_id, self.client_id,
                           state.next_out_index, amount, hashlock, now + 40)
-        promise = promise.with_sig(sign(self.sk, promise.signing_bytes))
+        [promise] = seal_promises([promise], self.sk)
         self._note("attack_overspend", amount=amount)
         return [("hub", WireMessage(K_PROMISE, {
             "payment_id": f"atk-over-{self.client_id}",

@@ -14,6 +14,11 @@ grows) or when the owner claims them on a ledger.
 SERIALIZED mode keeps one payment in flight per direction with lockstep
 promise/receipt indices. CONCURRENT mode allows many, protected by the
 pending-promise Merkle root carried in every receipt.
+
+A sender books a promise unsigned and seals it later, with every other
+unsealed promise of the direction, under one signature over the batch's
+Merkle root (``seal_pending``); each promise on the wire carries its audit
+path. The books keep no paths.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 
-from . import crypto
-from .crypto import (MerkleProof, PrivateKey, hash_commit, merkle_prove,
+from . import codec, crypto
+from .crypto import (MerkleProof, PrivateKey, hash_commit, merkle_paths, merkle_prove,
                      merkle_root_of_leaf_hashes, new_preimage)
 from .errors import (
     REJECT_BAD_PENDING_ROOT,
@@ -45,8 +50,10 @@ from .messages import (
     ChannelParams,
     PaymentProposal,
     Promise,
+    PromiseBatch,
     Receipt,
     SecretMessage,
+    authentic_batch,
 )
 
 
@@ -59,6 +66,18 @@ def close_balances(state: "ChannelState") -> dict[str, int]:
             + sum(state.claimed_in.values()) - sum(state.claimed_out.values()))
     mine = max(0, min(total, mine))
     return {state.owner: mine, state.params.other_party(state.owner): total - mine}
+
+
+def seal_promises(batch: list[Promise], sk: PrivateKey) -> list[Promise]:
+    """Sign ``batch`` with one signature over the Merkle root of its leaf
+    hashes; each returned promise carries its audit path to that root, and
+    a batch of one carries none."""
+    if len(batch) == 1:
+        [promise] = batch
+        return [promise.with_sig(crypto.sign(sk, codec.TAG_PROMISE_BATCH + promise.leaf_hash))]
+    leaves = [p.leaf_hash for p in batch]
+    sig = crypto.sign(sk, codec.TAG_PROMISE_BATCH + merkle_root_of_leaf_hashes(leaves))
+    return [p.with_sig(sig, path) for p, path in zip(batch, merkle_paths(leaves))]
 
 
 @dataclass
@@ -89,6 +108,9 @@ class ChannelState:
     resolved_in: set[bytes] = field(default_factory=set)
     out_frozen: bool = False
     in_frozen: bool = False
+    # the last incoming batch whose signature verified; not persisted, so a
+    # restarted party verifies each batch once more
+    verified_batch: PromiseBatch | None = field(default=None, repr=False, compare=False)
 
     # -- accounting ---------------------------------------------------------
 
@@ -155,13 +177,15 @@ class ChannelState:
     # -- payer side: promises ------------------------------------------------
 
     def make_promise(self, proposal: PaymentProposal, sk: PrivateKey, now: int) -> Promise:
-        """Sender-side: promise the proposal's amount against its hashlock."""
+        """Sender-side: promise the proposal's amount against its hashlock,
+        sealed at once as a batch of one."""
         if proposal.expiry <= now:
             raise ExpiredProposal(f"expiry {proposal.expiry} <= now {now}")
-        return self.promise_raw(proposal.amount, proposal.hashlock, proposal.expiry, sk, now)
+        promise = self.promise_raw(proposal.amount, proposal.hashlock, proposal.expiry, now)
+        return self._seal([promise], sk)[0]
 
-    def promise_raw(self, amount: int, hashlock: bytes, expiry: int,
-                    sk: PrivateKey, now: int) -> Promise:
+    def promise_raw(self, amount: int, hashlock: bytes, expiry: int, now: int) -> Promise:
+        """Book an unsealed promise; ``seal_pending`` signs it with its batch."""
         if amount <= 0:
             raise InvalidAmount(f"amount {amount}")
         if expiry <= now:
@@ -183,18 +207,33 @@ class ChannelState:
             hashlock=hashlock,
             expiry=expiry,
         )
-        promise = promise.with_sig(crypto.sign(sk, promise.signing_bytes))
         self.pending_out[promise.hashlock] = promise
         self.next_out_index += 1
         return promise
+
+    def seal_pending(self, sk: PrivateKey) -> list[Promise]:
+        """Seal every unsealed outgoing promise as one batch, in index
+        order; returns them as they go on the wire, with their paths."""
+        return self._seal([p for p in self.pending_out.values() if p.sender_sig is None], sk)
+
+    def _seal(self, batch: list[Promise], sk: PrivateKey) -> list[Promise]:
+        if not batch:
+            return []
+        sealed = seal_promises(batch, sk)
+        for promise in sealed:
+            # the books keep the signature but not the path
+            self.pending_out[promise.hashlock] = (
+                promise if promise.path is None else promise.with_sig(promise.sender_sig))
+        return sealed
 
     def verify_promise(self, p: Promise, now: int, min_margin: int = 0) -> str | None:
         """None when acceptable, otherwise a reject reason string."""
         if p.channel_id != self.params.channel_id or p.sender != self.peer:
             return REJECT_BAD_SIGNATURE
-        if p.sender_sig is None or not crypto.verify(
-                self.params.party_pk(p.sender), p.signing_bytes, p.sender_sig):
+        batch = authentic_batch(self.params.party_pk(p.sender), p, self.verified_batch)
+        if batch is None:
             return REJECT_BAD_SIGNATURE
+        self.verified_batch = batch
         if p.expiry <= now + min_margin:
             return REJECT_EXPIRY_TOO_SOON
         if self.in_frozen:
@@ -282,6 +321,13 @@ class ChannelState:
         receipt = receipt.with_sig(crypto.sign(sk, receipt.signing_bytes))
         self.last_receipt_sent = receipt
         return receipt
+
+    def is_last_receipt(self, r: Receipt) -> bool:
+        """True when ``r`` is byte for byte the last receipt applied: a
+        re-sent copy, which changes nothing."""
+        last = self.last_receipt_received
+        return (last is not None and r.issuer_sig == last.issuer_sig
+                and r.signing_bytes == last.signing_bytes)
 
     def verify_receipt(self, r: Receipt) -> str | None:
         """None when acceptable, otherwise a reject reason string."""

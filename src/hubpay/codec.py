@@ -23,6 +23,10 @@ TAG_CLOSING = b"CLS1"
 TAG_PARAMS = b"CPR1"
 TAG_EVENT = b"EVT1"
 TAG_WIRE = b"MSG1"
+# A batch of promises is signed over ``TAG_PROMISE_BATCH || root``: 36 raw
+# bytes, not a canonical encoding, since every leaf already names its
+# channel, sender and index.
+TAG_PROMISE_BATCH = b"PRB1"
 
 KNOWN_TAGS = {
     TAG_PROPOSAL,

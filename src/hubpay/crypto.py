@@ -174,36 +174,51 @@ def merkle_root_of_leaf_hashes(level: list[bytes]) -> bytes:
     return level[0]
 
 
-def merkle_prove(leaves: list[bytes], index: int) -> MerkleProof:
-    if not 0 <= index < len(leaves):
-        raise IndexError(f"leaf index {index} out of range for {len(leaves)} leaves")
-    siblings: list[bytes] = []
-    level = [_leaf_hash(leaf) for leaf in leaves]
-    pos = index
+def merkle_paths(leaf_hashes: list[bytes]) -> list[MerkleProof]:
+    """The audit path of every leaf, from already-prefixed leaf hashes, in
+    one pass over the tree (RFC 6962 section 2.1.1)."""
+    siblings: list[list[bytes]] = [[] for _ in leaf_hashes]
+    level = list(leaf_hashes)
+    # positions[i]: where leaf i's ancestor sits on the current level
+    positions = list(range(len(leaf_hashes)))
+    sha = hashlib.sha256
     while len(level) > 1:
         if len(level) % 2 == 1:
             level.append(level[-1])
-        sibling_pos = pos ^ 1
-        siblings.append(level[sibling_pos])
-        level = [_node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-        pos //= 2
-    return MerkleProof(index, tuple(siblings))
+        for path, pos in zip(siblings, positions):
+            path.append(level[pos ^ 1])
+        pairs = iter(level)
+        level = [sha(b"\x01" + left + right).digest() for left, right in zip(pairs, pairs)]
+        positions = [pos // 2 for pos in positions]
+    return [MerkleProof(i, tuple(path)) for i, path in enumerate(siblings)]
 
 
-def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:
-    """Fold ``leaf`` upward through ``proof``; True iff it reproduces ``root``."""
+def merkle_prove(leaves: list[bytes], index: int) -> MerkleProof:
+    if not 0 <= index < len(leaves):
+        raise IndexError(f"leaf index {index} out of range for {len(leaves)} leaves")
+    return merkle_paths([_leaf_hash(leaf) for leaf in leaves])[index]
+
+
+def merkle_fold(leaf_hash: bytes, proof: MerkleProof) -> bytes | None:
+    """The root reached by folding a prefixed leaf hash up through
+    ``proof``, or None when the proof is malformed."""
     if proof.leaf_index < 0:
-        return False
-    node = _leaf_hash(leaf)
+        return None
+    node = leaf_hash
     pos = proof.leaf_index
     for sibling in proof.siblings:
         if len(sibling) != DIGEST_LEN:
-            return False
+            return None
         if pos % 2 == 1:
             node = _node_hash(sibling, node)
         else:
             node = _node_hash(node, sibling)
         pos //= 2
     if pos != 0:
-        return False
-    return node == root
+        return None
+    return node
+
+
+def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:
+    """Fold ``leaf`` upward through ``proof``; True iff it reproduces ``root``."""
+    return merkle_fold(_leaf_hash(leaf), proof) == root

@@ -135,8 +135,9 @@ class HubCore:
 
     ``handle_message``/``hub_tick``/``flush_receipts`` return an outbox of
     (client_id, message) pairs; the caller (simulation bus or socket server)
-    delivers them. A CONCURRENT channel gets one receipt per delivery batch,
-    so the caller ends every batch with ``hub_tick`` or ``flush_receipts``.
+    delivers them. A CONCURRENT channel gets one promise signature and one
+    receipt per delivery batch, so the caller ends every batch with
+    ``hub_tick`` or ``flush_receipts``.
     """
 
     def __init__(self, config: HubConfig, ledgers: dict[str, Ledger],
@@ -161,6 +162,9 @@ class HubCore:
         # CONCURRENT channels holding credit that no receipt acknowledges
         # yet; derived from the channel books, and rebuilt from them on load
         self.receipts_owed: set[str] = set()
+        # CONCURRENT channels holding forwarded promises not yet sealed;
+        # derived from the books (an unsigned pending_out entry) on load
+        self.promises_unsealed: set[str] = set()
         self.trace: list[dict] = []
         self.replaying = False
         self._tick_outbox: list[tuple[str, WireMessage]] = []
@@ -306,7 +310,7 @@ class HubCore:
         except HubpayError as exc:
             return [(src, error_message(exc.code, exc.detail, payment_id=payment_id))]
         in_state.accept_promise(promise)
-        self.routes[promise.hashlock] = RouteContext(
+        ctx = RouteContext(
             payment_id=payment_id or promise.hashlock.hex()[:12],
             hashlock=promise.hashlock,
             in_channel=in_state.params.channel_id,
@@ -314,21 +318,35 @@ class HubCore:
             in_promise=promise,
             out_promise=outgoing,
         )
+        self.routes[promise.hashlock] = ctx
         self.active_routes.add(promise.hashlock)
         self._note("routed", payment=payment_id, sender=src, payee=payee,
                    amount=promise.amount, fee=fee)
-        return [(payee, WireMessage(K_PROMISE, {
-            "payment_id": payment_id,
+        if outgoing.sender_sig is None:
+            # sealed with the rest of its channel's batch when the batch ends
+            self.promises_unsealed.add(ctx.out_channel)
+            return []
+        return [self._promise_message(ctx, outgoing)]
+
+    def _promise_message(self, ctx: RouteContext, outgoing: Promise) -> tuple[str, WireMessage]:
+        payee = self.channels[ctx.out_channel].params.client_id
+        return (payee, WireMessage(K_PROMISE, {
+            "payment_id": ctx.payment_id,
             "promise": outgoing.to_jsonable(),
-        }))]
+        }))
 
     # Hooks a scripted adversary overrides (see adversaries.py); each
     # returns the honest answer here.
 
     def _forward_promise(self, out_state: ChannelState, incoming: Promise,
                          amount: int, expiry: int, now: int) -> Promise:
-        return out_state.promise_raw(amount, incoming.hashlock, expiry,
-                                     self.sk_for(out_state.params.ledger_id), now)
+        """The promise to the payee. A CONCURRENT one is left unsealed for
+        the end of the batch; a SERIALIZED direction holds one promise at a
+        time, so its batch is always one and is sealed (and sent) at once."""
+        outgoing = out_state.promise_raw(amount, incoming.hashlock, expiry, now)
+        if out_state.params.mode == MODE_CONCURRENT:
+            return outgoing
+        return out_state.seal_pending(self.sk_for(out_state.params.ledger_id))[0]
 
     def _should_send_receipt(self) -> bool:
         return True
@@ -392,18 +410,28 @@ class HubCore:
         return outbox
 
     def flush_receipts(self, now: int) -> list[tuple[str, WireMessage]]:
-        """End of a delivery batch: sign one receipt per channel whose
+        """End of a delivery batch: seal each channel's forwarded promises
+        under one signature, then sign one receipt per channel whose
         resolved credit no receipt acknowledges yet (CONCURRENT channels
-        defer their receipts to here). ``hub_tick`` ends with this step;
-        a transport that delivers between ticks calls it after each batch.
+        defer both to here). ``hub_tick`` ends with this step; a transport
+        that delivers between ticks calls it after each batch.
         """
-        if not self.receipts_owed:
+        if not self.receipts_owed and not self.promises_unsealed:
             return []
         self._journal({"t": "flush", "now": now})
-        return self._issue_owed_receipts()
+        return self._end_batch()
 
-    def _issue_owed_receipts(self) -> list[tuple[str, WireMessage]]:
+    def _end_batch(self) -> list[tuple[str, WireMessage]]:
+        """The batch's sealed promises go out before its receipts, whose
+        pending roots commit to them."""
         outbox: list[tuple[str, WireMessage]] = []
+        for channel_id in sorted(self.promises_unsealed):
+            state = self.channels[channel_id]
+            for outgoing in state.seal_pending(self.sk_for(state.params.ledger_id)):
+                ctx = self.routes[outgoing.hashlock]
+                ctx.out_promise = state.pending_out[outgoing.hashlock]
+                outbox.append(self._promise_message(ctx, outgoing))
+        self.promises_unsealed.clear()
         for channel_id in sorted(self.receipts_owed):
             state = self.channels[channel_id]
             receipt = state.issue_receipt(self.sk_for(state.params.ledger_id))
@@ -431,6 +459,9 @@ class HubCore:
         state = self.channel_of(src)
         if state is None or state.params.channel_id != receipt.channel_id:
             return [(src, error_message("NoRoute", "unknown channel"))]
+        if state.is_last_receipt(receipt):
+            self._note("receipt_duplicate", sender=src)
+            return []
         reason = state.verify_receipt(receipt)
         if reason is not None:
             self._note("receipt_rejected", sender=src, reason=reason)
@@ -475,17 +506,17 @@ class HubCore:
     def hub_tick(self, now: int) -> list[tuple[str, WireMessage]]:
         """Background handler, run once per tick: react to ledger events,
         claim endangered routes, expire promises, progress disputes, and
-        last, sign the receipts the tick's delivery batch left owed. The
-        receipts' roots then omit the promises this tick expired, as the
-        payees' books will when the receipts arrive."""
+        last, seal the promises and sign the receipts the tick's delivery
+        batch left. The receipts' roots then omit the promises this tick
+        expired, as the payees' books will when the receipts arrive."""
         self._journal({"t": "tick", "now": now})
         self._tick_outbox: list[tuple[str, WireMessage]] = []
         self._poll_ledgers(now)
         self._claim_endangered_routes(now)
         self._sweep_expired(now)
         self._progress_disputes(now)
-        if self.receipts_owed:
-            self._tick_outbox.extend(self._issue_owed_receipts())
+        if self.receipts_owed or self.promises_unsealed:
+            self._tick_outbox.extend(self._end_batch())
         return self._tick_outbox
 
     def _poll_ledgers(self, now: int) -> None:
@@ -647,6 +678,9 @@ class HubCore:
             self.finalize_submitted = set(snap["finalize_submitted"])
             self.receipts_owed = {cid for cid, state in self.channels.items()
                                   if state.receipt_owed()}
+            self.promises_unsealed = {
+                cid for cid, state in self.channels.items()
+                if any(p.sender_sig is None for p in state.pending_out.values())}
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise RecoveryError(f"corrupt snapshot: {exc}") from exc
 

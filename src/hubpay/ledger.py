@@ -33,7 +33,8 @@ from .errors import (
     WindowClosed,
     WindowOpen,
 )
-from .messages import MODE_SERIALIZED, ChannelParams, ClosingRecord, Promise, Receipt
+from .messages import (MODE_SERIALIZED, ChannelParams, ClosingRecord, Promise, Receipt,
+                       authentic_batch)
 from .crypto import Signature
 
 STATUS_OPEN = "OPEN"
@@ -227,8 +228,7 @@ class Ledger:
             raise BadSignature("only the counterparty may claim a promise")
         if self.now >= promise.expiry:
             raise Expired(f"expiry {promise.expiry}, now {self.now}")
-        if promise.sender_sig is None or not crypto.verify(
-                params.party_pk(promise.sender), promise.signing_bytes, promise.sender_sig):
+        if authentic_batch(params.party_pk(promise.sender), promise) is None:
             raise BadSignature("promise signature invalid")
         if hash_commit(preimage) != promise.hashlock:
             raise BadPreimage(promise.hashlock.hex())

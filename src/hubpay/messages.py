@@ -4,8 +4,9 @@ A payment is negotiated with four messages: the payee's PaymentProposal
 (the invoice carrying a hash commitment), the payer's signed Promise
 (conditional on the secret, before an expiry tick), the payee's
 SecretMessage revealing the preimage, and the payer's signed Receipt
-acknowledging the new cumulative credit. Signatures always cover the
-message's canonical encoding, never an ad-hoc serialization.
+acknowledging the new cumulative credit. Signatures cover the message's
+canonical encoding, never an ad-hoc serialization; promises are signed in
+batches, one signature over the Merkle root of their canonical digests.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import codec
-from .crypto import DIGEST_LEN, PublicKey, Signature
+from . import codec, crypto
+from .crypto import DIGEST_LEN, MerkleProof, PublicKey, Signature
 
 MODE_SERIALIZED = "SERIALIZED"
 MODE_CONCURRENT = "CONCURRENT"
@@ -138,7 +139,14 @@ class PaymentProposal:
 
 @dataclass(frozen=True)
 class Promise:
-    """Signed conditional payment on one channel direction."""
+    """Conditional payment on one channel direction.
+
+    A sender signs its promises in batches: ``sender_sig`` covers
+    ``TAG_PROMISE_BATCH || root``, where ``root`` is the Merkle root over the
+    batch's leaf hashes, and ``path`` is this promise's audit path to it. A
+    batch of one has no path (its root is its own leaf hash). A promise the
+    sender has booked but not yet sealed has no signature.
+    """
 
     channel_id: str
     sender: str
@@ -147,10 +155,12 @@ class Promise:
     hashlock: bytes
     expiry: int
     sender_sig: Signature | None = field(default=None, compare=False)
+    path: MerkleProof | None = field(default=None, compare=False)
 
     @cached_property
     def signing_bytes(self) -> bytes:
-        # Signature covers every field except itself.
+        """The promise's canonical content: every field but the signature
+        and the path. Its hash is the promise's leaf."""
         return codec.canonical_encode(
             codec.TAG_PROMISE,
             {
@@ -166,19 +176,22 @@ class Promise:
     @cached_property
     def digest(self) -> bytes:
         """Leaf digest used by the pending-promise accumulator."""
-        from .crypto import sha256
-
-        return sha256(self.signing_bytes)
+        return crypto.sha256(self.signing_bytes)
 
     @cached_property
     def leaf_hash(self) -> bytes:
-        from .crypto import sha256
+        return crypto.sha256(b"\x00" + self.digest)
 
-        return sha256(b"\x00" + self.digest)
+    def batch_root(self) -> bytes | None:
+        """The root the signature must cover: the leaf hash folded up
+        through the path, or None when the path is malformed."""
+        if self.path is None:
+            return self.leaf_hash
+        return crypto.merkle_fold(self.leaf_hash, self.path)
 
-    def with_sig(self, sig: Signature) -> "Promise":
+    def with_sig(self, sig: Signature, path: MerkleProof | None = None) -> "Promise":
         signed = Promise(self.channel_id, self.sender, self.index, self.amount,
-                         self.hashlock, self.expiry, sig)
+                         self.hashlock, self.expiry, sig, path)
         # identical fields, so the canonical caches carry over
         for key in ("signing_bytes", "digest", "leaf_hash"):
             if key in self.__dict__:
@@ -186,7 +199,7 @@ class Promise:
         return signed
 
     def to_jsonable(self) -> dict:
-        return {
+        obj = {
             "channel_id": self.channel_id,
             "sender": self.sender,
             "index": self.index,
@@ -196,12 +209,16 @@ class Promise:
             "sig": self.sender_sig.data.hex() if self.sender_sig else None,
             "sig_scheme": self.sender_sig.scheme if self.sender_sig else None,
         }
+        if self.path is not None:
+            obj["path"] = self.path.to_jsonable()
+        return obj
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "Promise":
         sig = None
         if obj.get("sig"):
             sig = Signature(obj["sig_scheme"], bytes.fromhex(obj["sig"]))
+        path = obj.get("path")
         return cls(
             channel_id=obj["channel_id"],
             sender=obj["sender"],
@@ -210,7 +227,30 @@ class Promise:
             hashlock=bytes.fromhex(obj["hashlock"]),
             expiry=int(obj["expiry"]),
             sender_sig=sig,
+            path=MerkleProof.from_jsonable(path) if path is not None else None,
         )
+
+
+PromiseBatch = tuple[bytes, Signature]  # (root, signature) of one sealed batch
+
+
+def authentic_batch(pk: PublicKey, promise: Promise,
+                    known: PromiseBatch | None = None) -> PromiseBatch | None:
+    """The one rule for a promise's signature: it must verify under ``pk``
+    over ``TAG_PROMISE_BATCH || root``, where ``root`` is the promise's leaf
+    folded up through its path. Returns the (root, signature) pair that
+    makes the promise authentic, or None. ``known`` is a pair this check
+    already accepted under the same key; a promise of that batch costs no
+    second signature check."""
+    if promise.sender_sig is None:
+        return None
+    root = promise.batch_root()
+    if root is None:
+        return None
+    batch = (root, promise.sender_sig)
+    if batch == known or crypto.verify(pk, codec.TAG_PROMISE_BATCH + root, promise.sender_sig):
+        return batch
+    return None
 
 
 @dataclass(frozen=True)

@@ -466,6 +466,9 @@ class WalletCore:
         if self.state is None:
             return []
         receipt = Receipt.from_jsonable(body["receipt"])
+        if self.state.is_last_receipt(receipt):
+            self._note("receipt_duplicate")
+            return []
         reason = self.state.verify_receipt(receipt)
         if reason is not None:
             self._note("receipt_rejected", reason=reason)

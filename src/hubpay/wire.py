@@ -108,11 +108,15 @@ class FrameStream:
 
     Frames are sent in the order they are queued, whichever thread queues
     them; a thread that finds another one sending leaves its frames to it.
+    Received bytes are collected as they arrive and decoded once the first
+    frame is whole, so a large frame costs time linear in its size.
     """
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self._buffer = b""
+        # bytes received and not yet decoded, one chunk per read
+        self._chunks: list[bytes] = []
+        self._size = 0
         self._pending: deque[WireMessage] = deque()
         self._outbox: deque[WireMessage] = deque()
         self._sending = threading.Lock()
@@ -125,11 +129,16 @@ class FrameStream:
         self._outbox.append(msg)
 
     def flush(self) -> None:
-        """Send every queued frame, unless another thread already is."""
+        """Send every queued frame, unless another thread already is. The
+        frames queued at one moment leave in one write, so Nagle's algorithm
+        holds none of them back for an acknowledgement."""
         while self._outbox and self._sending.acquire(blocking=False):
             try:
                 while self._outbox:
-                    self.sock.sendall(encode_frame(self._outbox.popleft()))
+                    frames = []
+                    while self._outbox:
+                        frames.append(encode_frame(self._outbox.popleft()))
+                    self.sock.sendall(b"".join(frames))
             finally:
                 self._sending.release()
 
@@ -142,15 +151,27 @@ class FrameStream:
         if self._pending:
             return self._pending.popleft()
         self.sock.settimeout(timeout)
-        while True:
-            messages, self._buffer = decode_frames(self._buffer)
-            if messages:
-                self._pending.extend(messages)
-                return self._pending.popleft()
+        while self._size < self._first_frame_end():
             chunk = self.sock.recv(65536)
             if not chunk:
                 return None
-            self._buffer += chunk
+            self._chunks.append(chunk)
+            self._size += len(chunk)
+        messages, rest = decode_frames(b"".join(self._chunks))
+        self._chunks = [rest] if rest else []
+        self._size = len(rest)
+        self._pending.extend(messages)
+        return self._pending.popleft()
+
+    def _first_frame_end(self) -> int:
+        """How many received bytes complete the first frame. An oversize
+        length counts as complete at once, so ``decode_frames`` refuses it."""
+        if self._size < 4:
+            return 4
+        if len(self._chunks[0]) < 4:
+            self._chunks = [b"".join(self._chunks)]
+        (length,) = struct.unpack_from(">I", self._chunks[0])
+        return 4 if length > MAX_FRAME else 4 + length
 
     def close(self) -> None:
         try:

@@ -4,9 +4,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from hubpay.channel import ChannelState
+from hubpay.channel import ChannelState, seal_promises
 from hubpay.crypto import SCHEME_A, PrivateKey, generate_keypair
-from hubpay.messages import MODE_SERIALIZED, ChannelParams
+from hubpay.messages import MODE_SERIALIZED, ChannelParams, Promise
 
 
 @dataclass
@@ -24,6 +24,11 @@ class ChannelPair:
 
     def key_of(self, party: str) -> PrivateKey:
         return self.client_sk if party == self.params.client_id else self.hub_sk
+
+
+def sealed(promise: Promise, sk: PrivateKey) -> Promise:
+    """A hand-built promise signed as a batch of one, the way a payer seals."""
+    return seal_promises([promise], sk)[0]
 
 
 def make_pair(mode: str = MODE_SERIALIZED, scheme: str = SCHEME_A,

@@ -114,6 +114,19 @@ def test_replay_and_overspend_promises_rejected():
         assert rejected & code, f"{directive}: hub never rejected ({rejected})"
 
 
+@pytest.mark.parametrize("mode", ["SERIALIZED", "CONCURRENT"])
+def test_overspend_promises_keep_their_reject_reason(mode):
+    # both overspends are sealed like honest promises, so the receiver
+    # refuses them for capacity, not for their signature
+    _, report = run_world(adversary_scenario("OVERSPEND_PROMISE", "client", mode=mode))
+    assert {e.get("reason") for e in report.trace
+            if e.get("action") == "promise_rejected"} == {"InsufficientCapacity"}
+    _, report = run_world(adversary_scenario("OVERSPEND_PROMISE", "hub", mode=mode))
+    reasons = {e.get("reason") for e in report.trace
+               if e.get("action") == "payment_done" and e.get("outcome") == "FAILED"}
+    assert "InsufficientCapacity" in reasons and "BadSignature" not in reasons
+
+
 def test_honest_cores_hold_no_scripted_behaviour():
     for module in (hub, server, wallet, cli):
         source = Path(module.__file__).read_text(encoding="utf-8")

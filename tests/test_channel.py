@@ -1,23 +1,28 @@
 """Channel state machine: promises, secrets, receipts, expiry, and modes."""
 
 import json
+from dataclasses import replace
 from itertools import permutations
 from random import Random
 
 import pytest
 
+from hubpay import crypto
 from hubpay.channel import ChannelState
+from hubpay.crypto import SCHEME_A, MerkleProof
 from hubpay.errors import (
     BadPreimage,
+    BadSignature,
     ChannelBusy,
     Expired,
     ExpiredProposal,
     InsufficientCapacity,
     InvalidAmount,
 )
+from hubpay.ledger import Ledger
 from hubpay.messages import MODE_CONCURRENT, MODE_SERIALIZED, Promise, SecretMessage
 
-from conftest import make_pair, run_payment
+from conftest import make_pair, run_payment, sealed
 from oracles import AccountingOracle
 
 
@@ -139,8 +144,7 @@ def test_verify_promise_rejects_reused_index_serialized():
     # replay the same index after it was receipted
     proposal, _ = pair.hub.make_proposal("p-2", 5, 1000, 0, Random(10))
     stale = Promise(pair.params.channel_id, "alice", 1, 5, proposal.hashlock, 1000)
-    from hubpay.crypto import sign
-    stale = stale.with_sig(sign(pair.client_sk, stale.signing_bytes))
+    stale = sealed(stale, pair.client_sk)
     assert pair.hub.verify_promise(stale, 0) == "StaleIndex"
 
 
@@ -152,8 +156,7 @@ def test_verify_promise_rejects_duplicate_hashlock():
     assert pair.hub.verify_promise(promise, 0) is None
     pair.hub.accept_promise(promise)
     dup = Promise(pair.params.channel_id, "alice", 2, 10, proposal.hashlock, 1000)
-    from hubpay.crypto import sign
-    dup = dup.with_sig(sign(pair.client_sk, dup.signing_bytes))
+    dup = sealed(dup, pair.client_sk)
     assert pair.hub.verify_promise(dup, 0) == "DuplicateHashlock"
 
 
@@ -163,6 +166,109 @@ def test_verify_promise_respects_expiry_margin():
     promise = pair.client.make_promise(proposal, pair.client_sk, 0)
     assert pair.hub.verify_promise(promise, 0, min_margin=100) == "ExpiryTooSoon"
     assert pair.hub.verify_promise(promise, 0, min_margin=99) is None
+
+
+# -- batch-sealed promises -----------------------------------------------------------
+
+def hub_batch(pair, count, now=0):
+    """``count`` hub promises to the client, sealed as one batch; returns
+    them as they go on the wire, with the client's preimages."""
+    rng = Random(count)
+    preimages = []
+    for i in range(count):
+        proposal, preimage = pair.client.make_proposal(f"p-{i}", 1 + i, 1000, now, rng)
+        pair.hub.promise_raw(proposal.amount, proposal.hashlock, proposal.expiry, now)
+        preimages.append(preimage)
+    return pair.hub.seal_pending(pair.hub_sk), preimages
+
+
+def funded_ledger_for(*pairs):
+    ledger = Ledger("L1", SCHEME_A, {"alice": 1000, "bob": 1000, "hub": 100_000})
+    for pair in pairs:
+        ledger.deploy_contract(pair.params, "hub")
+        ledger.deposit(pair.params.channel_id, "hub", 1000)
+    return ledger
+
+
+def test_batch_carries_paths_and_the_books_keep_none():
+    pair = make_pair(mode=MODE_CONCURRENT)
+    batch, _ = hub_batch(pair, 3)
+    assert len({p.sender_sig for p in batch}) == 1  # one signature
+    assert [p.path.leaf_index for p in batch] == [0, 1, 2]
+    stored = list(pair.hub.pending_out.values())
+    assert [p.sender_sig for p in stored] == [p.sender_sig for p in batch]
+    assert all(p.path is None for p in stored)
+    assert pair.hub.seal_pending(pair.hub_sk) == []  # nothing left unsealed
+
+
+def test_payer_batch_of_one_keeps_the_wire_form():
+    pair = make_pair(mode=MODE_CONCURRENT)
+    proposal, _ = pair.hub.make_proposal("p-1", 10, 1000, 0, Random(31))
+    promise = pair.client.make_promise(proposal, pair.client_sk, 0)
+    assert promise.path is None
+    assert set(promise.to_jsonable()) == {"channel_id", "sender", "index", "amount",
+                                          "hashlock", "expiry", "sig", "sig_scheme"}
+    assert pair.hub.verify_promise(Promise.from_jsonable(promise.to_jsonable()), 0) is None
+
+
+def test_promise_under_another_channels_root_refused():
+    alice = make_pair(mode=MODE_CONCURRENT)
+    bob = make_pair(mode=MODE_CONCURRENT, channel_id="ch-2", client_id="bob")
+    assert alice.hub_sk == bob.hub_sk  # one hub key signs both channels' batches
+    ledger = funded_ledger_for(alice, bob)
+    batch, preimages = hub_batch(alice, 3)
+    for promise, preimage in zip(batch, preimages):
+        # as sent: valid on its own channel, refused on the other
+        assert alice.client.verify_promise(promise, 0) is None
+        assert bob.client.verify_promise(promise, 0) == "BadSignature"
+        # relabelled for the other channel, the path no longer reaches the root
+        moved = replace(promise, channel_id="ch-2")
+        assert bob.client.verify_promise(moved, 0) == "BadSignature"
+        for forged in (promise, moved):
+            with pytest.raises(BadSignature):
+                ledger.claim_promise("ch-2", "bob", forged, preimage)
+    ledger.claim_promise("ch-1", "alice", batch[0], preimages[0])
+
+
+@pytest.mark.parametrize("tamper", ["sibling", "leaf_index"])
+def test_tampered_path_refused(tamper):
+    pair = make_pair(mode=MODE_CONCURRENT)
+    ledger = funded_ledger_for(pair)
+    batch, preimages = hub_batch(pair, 3)
+    path = batch[0].path
+    if tamper == "sibling":
+        first = bytes([path.siblings[0][0] ^ 1]) + path.siblings[0][1:]
+        path = MerkleProof(path.leaf_index, (first,) + path.siblings[1:])
+    else:
+        path = MerkleProof(1, path.siblings)
+    forged = batch[0].with_sig(batch[0].sender_sig, path)
+    assert pair.client.verify_promise(forged, 0) == "BadSignature"
+    # still refused once the genuine batch has been verified
+    assert pair.client.verify_promise(batch[1], 0) is None
+    assert pair.client.verify_promise(forged, 0) == "BadSignature"
+    with pytest.raises(BadSignature):
+        ledger.claim_promise("ch-1", "alice", forged, preimages[0])
+
+
+def test_sixteen_promise_batch_costs_the_payee_one_verification(monkeypatch):
+    pair = make_pair(mode=MODE_CONCURRENT)
+    batch, _ = hub_batch(pair, 16)
+    real_verify = crypto.verify
+    calls = []
+
+    def counting_verify(*args):
+        calls.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(crypto, "verify", counting_verify)
+    for promise in batch:
+        assert pair.client.verify_promise(promise, 0) is None
+        pair.client.accept_promise(promise)
+    assert len(calls) == 1
+    # the memo is not persisted: a restored state verifies the batch again
+    restored = ChannelState.from_jsonable(json.loads(json.dumps(pair.client.to_jsonable())))
+    assert restored.verified_batch is None
+    assert "verified_batch" not in pair.client.to_jsonable()
 
 
 # -- secrets and receipts -----------------------------------------------------------

@@ -8,7 +8,7 @@ from hubpay import codec
 from hubpay.errors import EncodingError
 from hubpay.messages import PaymentProposal, Promise
 
-from golden import VECTOR_DIR, golden_messages
+from golden import VECTOR_DIR, golden_messages, golden_promise_batch
 
 
 def test_golden_vectors_frozen():
@@ -18,6 +18,16 @@ def test_golden_vectors_frozen():
         recorded_hex, recorded_digest = path.read_text().split()
         assert blob.hex() == recorded_hex, f"{stem} encoding drifted from golden file"
         assert hashlib.sha256(blob).hexdigest() == recorded_digest
+
+
+def test_promise_batch_vector_frozen():
+    path = VECTOR_DIR / "promise_batch.txt"
+    assert path.exists(), f"missing vector file {path}; run tests/golden.py"
+    recorded = [tuple(line.split()) for line in path.read_text().splitlines()]
+    assert recorded == [(label, blob.hex()) for label, blob in golden_promise_batch()]
+    # 36 signed bytes: the tag, then the root
+    assert [label for label, _ in recorded] == ["signed", "path-0", "path-1", "path-2"]
+    assert len(bytes.fromhex(recorded[0][1])) == 36
 
 
 def test_identical_promises_encode_identically():

@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from hubpay.crypto import SCHEME_A, SCHEME_B, generate_keypair, hash_commit, sign
+from hubpay.crypto import SCHEME_A, SCHEME_B, generate_keypair, hash_commit
 from hubpay.hub import HubConfig, HubCore, HubStore
 from hubpay.ledger import Ledger
 from hubpay.messages import Promise, SecretMessage
 from hubpay.wire import K_PROMISE, K_REGISTER, K_SECRET, WireMessage
+
+from conftest import sealed
 
 
 def build_hub(fee_bps=0, delta=4, float_=5000):
@@ -36,7 +38,7 @@ def fund(hub, ledger, client_id, amount, now=1):
 def make_client_promise(hub, sk, client_id, amount, hashlock, expiry, index=1):
     channel_id = hub.registry[client_id].channel_id
     promise = Promise(channel_id, client_id, index, amount, hashlock, expiry)
-    return promise.with_sig(sign(sk, promise.signing_bytes))
+    return sealed(promise, sk)
 
 
 def test_register_deploys_open_contract():
@@ -138,6 +140,8 @@ def route_one(hub, ledger, a_sk, preimage=b"\x06" * 32, amount=60, expiry=1000):
     out = hub.handle_message("alice", WireMessage(K_PROMISE, {
         "payment_id": "p1", "payee": "bob",
         "promise": promise.to_jsonable()}), now=0)
+    # a CONCURRENT forward goes out when the delivery batch ends
+    out += hub.flush_receipts(0)
     return promise, Promise.from_jsonable(out[0][1].body["promise"])
 
 
@@ -324,18 +328,22 @@ def test_journal_replay_resumes_in_flight_route():
 
 
 def route_concurrent_pair(hub, ledger, a_sk, count=2):
-    """Route ``count`` CONCURRENT payments alice -> bob; returns their
-    forwarded promises and preimages."""
-    routed = []
+    """Route ``count`` CONCURRENT payments alice -> bob in one delivery
+    batch; returns their forwarded promises and preimages."""
+    preimages = []
     for i in range(count):
         preimage = bytes([0x60 + i]) * 32
         promise = make_client_promise(hub, a_sk, "alice", 10 + i,
                                       hash_commit(preimage), 1000, index=i + 1)
-        out = hub.handle_message("alice", WireMessage(K_PROMISE, {
+        assert hub.handle_message("alice", WireMessage(K_PROMISE, {
             "payment_id": f"p{i}", "payee": "bob",
-            "promise": promise.to_jsonable()}), now=2)
-        routed.append((Promise.from_jsonable(out[0][1].body["promise"]), preimage))
-    return routed
+            "promise": promise.to_jsonable()}), now=2) == []
+        preimages.append(preimage)
+    # the batch ends: one signature seals every forwarded promise
+    out = hub.flush_receipts(2)
+    assert [(dst, m.kind) for dst, m in out] == [("bob", K_PROMISE)] * count
+    return [(Promise.from_jsonable(m.body["promise"]), preimage)
+            for (_, m), preimage in zip(out, preimages)]
 
 
 def reveal_all(hub, routed, now=3):
@@ -395,3 +403,25 @@ def test_flush_between_ticks_is_journaled_for_recovery():
     receipt = hub.hub_tick(3)[0][1].body["receipt"]
     assert receipt["index"] == 2 and receipt["cumulative_credit"] == 21
     assert recovered.hub_tick(3)[0][1].body["receipt"] == receipt
+
+
+def test_snapshot_in_the_middle_of_a_batch_round_trips():
+    hub, ledger, a_sk = concurrent_hub()
+    for i in range(3):
+        promise = make_client_promise(hub, a_sk, "alice", 10 + i,
+                                      hash_commit(bytes([0x70 + i]) * 32), 1000, index=i + 1)
+        assert hub.handle_message("alice", WireMessage(K_PROMISE, {
+            "payment_id": f"p{i}", "payee": "bob",
+            "promise": promise.to_jsonable()}), now=2) == []
+    bob_channel = hub.registry["bob"].channel_id
+    assert hub.promises_unsealed == {bob_channel}
+    snapshot = HubStore()
+    snapshot.set_snapshot(json.loads(hub.persist_json()))
+    recovered = HubCore.recover(hub.config, hub.ledgers, snapshot)
+    assert recovered.persist_json() == hub.persist_json()
+    # the unsealed set is read back from the books
+    assert recovered.promises_unsealed == {bob_channel}
+    outbox = hub.flush_receipts(2)
+    assert [(dst, m.kind) for dst, m in outbox] == [("bob", K_PROMISE)] * 3
+    assert recovered.flush_receipts(2) == outbox
+    assert recovered.persist_json() == hub.persist_json()

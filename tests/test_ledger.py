@@ -30,7 +30,7 @@ from hubpay.messages import (
     Receipt,
 )
 
-from conftest import make_pair
+from conftest import make_pair, sealed
 from oracles import settle_oracle
 
 WINDOW = 20
@@ -54,7 +54,7 @@ def funded_ledger(mode=MODE_SERIALIZED, client_dep=100, hub_dep=100):
 def signed_promise(pair, sender, index, amount, preimage, expiry):
     promise = Promise(pair.params.channel_id, sender, index, amount,
                       hash_commit(preimage), expiry)
-    return promise.with_sig(sign(pair.key_of(sender), promise.signing_bytes))
+    return sealed(promise, pair.key_of(sender))
 
 
 def signed_receipt(pair, issuer, index, cumulative, root=ZERO_DIGEST):

@@ -7,6 +7,7 @@ import pytest
 from hubpay.errors import ScenarioError
 from hubpay.scenarios import base_two_clients, cross_ledger, happy_path
 from hubpay.simnet import World, load_scenario, run_scenario, throughput_bench
+from hubpay.wire import receipt_message
 
 from corpus_checks import accounts_equal_genesis
 
@@ -144,3 +145,48 @@ def test_message_delay_must_be_positive():
     scenario["message_delay"] = 0
     with pytest.raises(ScenarioError):
         World(scenario)
+
+
+def test_hub_crash_before_the_batch_ends_still_pays_the_payee():
+    # alice's promise reaches the hub at tick 9; the hub forwards it unsealed
+    # and crashes before the tick's batch ends, so nothing reaches bob
+    scenario = load_scenario("scenarios/hub_crash_recovery.json")
+    for client in scenario["clients"]:
+        client["mode"] = "CONCURRENT"
+    for step in scenario["script"]:
+        if step["action"] == "crash":
+            step["at"] = 9
+        elif step["action"] == "restart":
+            step["at"] = 12
+    world = World(scenario)
+    report = world.run()
+    assert report.ok(), report.assertion_results
+    promises = [(e["t"], e["src"], e["dst"]) for e in report.trace
+                if e["ev"] == "msg" and e["kind"] == "PROMISE"]
+    assert promises[0] == (9, "alice", "hub")
+    # the recovered hub seals the forward at its first batch end
+    assert promises[1:] == [(13, "hub", "bob")]
+    assert world.wallets["bob"].flows["pmt-00001"].outcome == "RECEIVED"
+    assert world.wallets["alice"].flows["pmt-00001"].outcome == "PAID"
+
+
+@pytest.mark.parametrize("mode", ["SERIALIZED", "CONCURRENT"])
+def test_redelivered_last_receipt_changes_nothing(mode):
+    scenario = happy_path()
+    for client in scenario["clients"]:
+        client["mode"] = mode
+    world = World(scenario)
+    world.run()
+    hub = world.hub
+    bob = world.wallets["bob"]
+    # the hub's last receipt to bob, and alice's last receipt to the hub
+    to_bob = bob.state.last_receipt_received
+    to_hub = hub.channel_of("alice").last_receipt_received
+    assert to_bob is not None and to_hub is not None
+    wallet_before, hub_before = json.dumps(bob.state.to_jsonable()), hub.persist_json()
+    assert bob.handle_message("hub", receipt_message(to_bob), world.tick) == []
+    assert hub.handle_message("alice", receipt_message(to_hub), world.tick) == []
+    assert json.dumps(bob.state.to_jsonable()) == wallet_before
+    assert hub.persist_json() == hub_before
+    assert [n["action"] for n in bob.trace] == ["receipt_duplicate"]
+    assert [n["action"] for n in hub.trace] == ["receipt_duplicate"]

@@ -77,6 +77,69 @@ def test_oversize_frame_rejected():
         decode_frames(struct.pack(">I", 1 << 25) + b"x")
 
 
+class ScriptedSocket:
+    """A socket stand-in: ``recv`` hands out ``incoming`` in pieces of at
+    most ``piece`` bytes, and ``sendall`` records each write."""
+
+    def __init__(self, incoming: bytes = b"", piece: int = 65536):
+        self.incoming = incoming
+        self.piece = piece
+        self.writes: list[bytes] = []
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv(self, limit: int) -> bytes:
+        chunk = self.incoming[:min(limit, self.piece)]
+        self.incoming = self.incoming[len(chunk):]
+        return chunk
+
+    def sendall(self, data: bytes) -> None:
+        self.writes.append(data)
+
+
+def test_frame_split_over_many_reads_is_decoded_once(monkeypatch):
+    from hubpay import wire
+
+    big = WireMessage("ADMIN_RESULT", {"ok": True, "blob": "ab" * 5000})
+    small = WireMessage("OK", {"client_id": "alice"})
+    decodes = []
+
+    def counting_decode(buffer):
+        decodes.append(len(buffer))
+        return decode_frames(buffer)
+
+    monkeypatch.setattr(wire, "decode_frames", counting_decode)
+    sock = ScriptedSocket(encode_frame(big) + encode_frame(small), piece=7)
+    stream = FrameStream(sock)
+    assert stream.recv() == big
+    # one decode, made by the read that completed the first frame
+    assert len(decodes) == 1
+    assert 0 <= decodes[0] - len(encode_frame(big)) < sock.piece
+    assert stream.recv() == small
+    assert len(decodes) == 2
+    assert stream.recv() is None  # the peer closed
+
+
+def test_oversize_frame_refused_from_its_header():
+    sock = ScriptedSocket(struct.pack(">I", 1 << 25) + b"x" * 100, piece=3)
+    with pytest.raises(EncodingError):
+        FrameStream(sock).recv()
+    assert len(sock.incoming) > 90  # refused before reading the body
+
+
+def test_frames_queued_together_leave_in_one_write():
+    sock = ScriptedSocket()
+    stream = FrameStream(sock)
+    frames = [WireMessage("OK", {"n": i}) for i in range(5)]
+    for msg in frames:
+        stream.enqueue(msg)
+    stream.flush()
+    assert sock.writes == [b"".join(encode_frame(m) for m in frames)]
+    stream.send(frames[0])
+    assert sock.writes[1:] == [encode_frame(frames[0])]
+
+
 # -- socket deployment -------------------------------------------------------------------
 
 @pytest.fixture()
