@@ -80,6 +80,35 @@ def seal_promises(batch: list[Promise], sk: PrivateKey) -> list[Promise]:
     return [p.with_sig(sig, path) for p, path in zip(batch, merkle_paths(leaves))]
 
 
+class PendingPromises(dict):
+    """One direction's unresolved promises by hashlock, with the running sum
+    of their amounts in ``total``, so a capacity check costs O(1) however
+    many promises are pending. The sum is derived and never persisted.
+    Change the map only by item assignment, ``del`` and ``pop``."""
+
+    __slots__ = ("total",)
+
+    def __init__(self):
+        super().__init__()
+        self.total = 0
+
+    def __setitem__(self, hashlock: bytes, promise: Promise) -> None:
+        old = self.get(hashlock)
+        self.total += promise.amount - (old.amount if old is not None else 0)
+        super().__setitem__(hashlock, promise)
+
+    def __delitem__(self, hashlock: bytes) -> None:
+        self.total -= self[hashlock].amount
+        super().__delitem__(hashlock)
+
+    def pop(self, hashlock: bytes, *default):
+        if hashlock not in self:
+            return super().pop(hashlock, *default)
+        promise = super().pop(hashlock)
+        self.total -= promise.amount
+        return promise
+
+
 @dataclass
 class ChannelState:
     params: ChannelParams
@@ -88,8 +117,8 @@ class ChannelState:
     peer_deposit: int = 0
     credit_sent: int = 0
     credit_received: int = 0
-    pending_out: dict[bytes, Promise] = field(default_factory=dict)
-    pending_in: dict[bytes, Promise] = field(default_factory=dict)
+    pending_out: PendingPromises = field(default_factory=PendingPromises)
+    pending_in: PendingPromises = field(default_factory=PendingPromises)
     last_receipt_sent: Receipt | None = None
     last_receipt_received: Receipt | None = None
     # Leaf set committed by last_receipt_received.pending_root, kept so the
@@ -124,15 +153,15 @@ class ChannelState:
         On-chain claims against the owner's promises are deducted as well,
         since those amounts are already owed at settlement.
         """
-        pending = sum(p.amount for p in self.pending_out.values())
         claimed = sum(self.claimed_out.values())
-        return self.my_deposit + self.credit_received - self.credit_sent - pending - claimed
+        return (self.my_deposit + self.credit_received - self.credit_sent
+                - self.pending_out.total - claimed)
 
     def peer_spendable(self) -> int:
         """The counterparty's capacity as tracked from this side's books."""
-        pending = sum(p.amount for p in self.pending_in.values())
         claimed = sum(self.claimed_in.values())
-        return self.peer_deposit + self.credit_sent - self.credit_received - pending - claimed
+        return (self.peer_deposit + self.credit_sent - self.credit_received
+                - self.pending_in.total - claimed)
 
     # The pending maps stay index-ordered by construction: promise indices
     # only ever increase on a live direction (verify_promise enforces this on

@@ -101,14 +101,20 @@ class RouteContext:
         }
 
     @classmethod
-    def from_jsonable(cls, obj: dict) -> "RouteContext":
+    def from_jsonable(cls, obj: dict, channels: dict[str, ChannelState]) -> "RouteContext":
+        """A promise still on its channel's books is the books' object, as
+        it is at run time, not a second parse of the same bytes; so loading
+        costs no more while a payer is slow to send its receipts."""
+        hashlock = bytes.fromhex(obj["hashlock"])
+        in_promise = channels[obj["in_channel"]].pending_in.get(hashlock)
+        out_promise = channels[obj["out_channel"]].pending_out.get(hashlock)
         return cls(
             payment_id=obj["payment_id"],
-            hashlock=bytes.fromhex(obj["hashlock"]),
+            hashlock=hashlock,
             in_channel=obj["in_channel"],
             out_channel=obj["out_channel"],
-            in_promise=Promise.from_jsonable(obj["in_promise"]),
-            out_promise=Promise.from_jsonable(obj["out_promise"]),
+            in_promise=in_promise or Promise.from_jsonable(obj["in_promise"]),
+            out_promise=out_promise or Promise.from_jsonable(obj["out_promise"]),
             state=obj["state"],
             preimage=bytes.fromhex(obj["preimage"]) if obj["preimage"] else None,
             claim_submitted=bool(obj["claim_submitted"]),
@@ -667,7 +673,7 @@ class HubCore:
             self.registry = {cid: Registration(**r) for cid, r in snap["registry"].items()}
             self.channels = {cid: ChannelState.from_jsonable(s)
                              for cid, s in snap["channels"].items()}
-            self.routes = {bytes.fromhex(h): RouteContext.from_jsonable(c)
+            self.routes = {bytes.fromhex(h): RouteContext.from_jsonable(c, self.channels)
                            for h, c in snap["routes"].items()}
             self.active_routes = {h for h, c in self.routes.items()
                                   if c.state not in TERMINAL_ROUTES}

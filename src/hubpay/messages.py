@@ -12,7 +12,6 @@ batches, one signature over the Merkle root of their canonical digests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import codec, crypto
 from .crypto import DIGEST_LEN, MerkleProof, PublicKey, Signature
@@ -20,6 +19,29 @@ from .crypto import DIGEST_LEN, MerkleProof, PublicKey, Signature
 MODE_SERIALIZED = "SERIALIZED"
 MODE_CONCURRENT = "CONCURRENT"
 MODES = (MODE_SERIALIZED, MODE_CONCURRENT)
+
+
+class cached_property:
+    """A value computed on first access and kept in the instance's
+    ``__dict__``, where later lookups find it before this descriptor.
+
+    ``functools.cached_property`` does the same under a lock (through
+    Python 3.11), which every thread shares. The values here depend only
+    on frozen fields, so two threads racing on a first access compute and
+    store the same value, and no lock is needed."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)

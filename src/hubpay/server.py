@@ -8,6 +8,9 @@ connection binds it to one client, and every later protocol frame on it is
 that client's. Wallets reach their ledger through LEDGER_OP frames, whose
 arguments ``LEDGER_OPS`` declares once, and mirror it locally from the event
 log; ``SocketWallet`` is the one loop that drives a wallet over a socket.
+Every connection, on both ends, is a ``FrameStream``, which turns Nagle's
+algorithm off, so a small frame leaves at once instead of waiting for the
+peer's delayed acknowledgement.
 """
 
 from __future__ import annotations

@@ -110,9 +110,15 @@ class FrameStream:
     them; a thread that finds another one sending leaves its frames to it.
     Received bytes are collected as they arrive and decoded once the first
     frame is whole, so a large frame costs time linear in its size.
+
+    On a TCP socket Nagle's algorithm is off (``TCP_NODELAY``): the protocol
+    is request/response in small frames, and Nagle would hold each one back
+    until the peer's delayed acknowledgement. Other sockets are used as given.
     """
 
     def __init__(self, sock: socket.socket):
+        if getattr(sock, "family", None) in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         # bytes received and not yet decoded, one chunk per read
         self._chunks: list[bytes] = []
@@ -130,8 +136,9 @@ class FrameStream:
 
     def flush(self) -> None:
         """Send every queued frame, unless another thread already is. The
-        frames queued at one moment leave in one write, so Nagle's algorithm
-        holds none of them back for an acknowledgement."""
+        frames queued at one moment leave in one write: with Nagle off each
+        write is a segment of its own, so one write per flush keeps the
+        system calls and packets to one per batch of frames."""
         while self._outbox and self._sending.acquire(blocking=False):
             try:
                 while self._outbox:

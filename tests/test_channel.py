@@ -1,6 +1,7 @@
 """Channel state machine: promises, secrets, receipts, expiry, and modes."""
 
 import json
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 from random import Random
@@ -11,6 +12,8 @@ from hubpay import crypto
 from hubpay.channel import ChannelState
 from hubpay.crypto import SCHEME_A, MerkleProof
 from hubpay.errors import (
+    REJECT_EXPIRY_TOO_SOON,
+    REJECT_STALE_INDEX,
     BadPreimage,
     BadSignature,
     ChannelBusy,
@@ -469,6 +472,87 @@ def test_credit_monotonicity_and_liability_bound_over_trace():
         for side in (pair.client, pair.hub):
             assert side.credit_sent <= side.my_deposit + side.credit_received
             assert side.available_balance() >= 0
+        assert_pending_totals(pair.client, pair.hub)
+
+
+def assert_pending_totals(*states):
+    """The running totals the capacity checks read equal the maps' sums."""
+    for state in states:
+        assert state.pending_out.total == sum(p.amount for p in state.pending_out.values())
+        assert state.pending_in.total == sum(p.amount for p in state.pending_in.values())
+
+
+def _deliver(src, dst, sk, now) -> bool:
+    """Seal the sender's unsealed promises and hand them to the receiver;
+    one it refuses is dropped, as the hub drops a refused promise."""
+    batch = src.seal_pending(sk)
+    for promise in batch:
+        reason = dst.verify_promise(promise, now)
+        if reason is None:
+            dst.accept_promise(promise)
+        else:
+            assert reason in (REJECT_EXPIRY_TOO_SOON, REJECT_STALE_INDEX)
+            src.drop_promise(promise.hashlock)
+    return bool(batch)
+
+
+def _receipt(src, dst, sk, now) -> bool:
+    """Deliver what is unsealed, then send the receipt owed, if any: the
+    receipt's root commits to every promise the sender has booked."""
+    _deliver(src, dst, sk, now)
+    if not src.receipt_owed():
+        return False
+    receipt = src.issue_receipt(sk)
+    assert dst.verify_receipt(receipt) is None
+    dst.apply_receipt(receipt)
+    return True
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pending_totals_match_the_maps_over_a_random_walk(seed):
+    pair = make_pair(mode=MODE_CONCURRENT, client_deposit=300, hub_deposit=300)
+    rng = Random(seed)
+    done = Counter()
+    kinds = ("promise", "seal", "secret", "receipt", "expire", "claim", "reload")
+    for now in range(150):
+        payer = rng.choice(("alice", "hub"))
+        src, dst = pair.state_of(payer), pair.state_of(pair.params.other_party(payer))
+        sk = pair.key_of(payer)
+        kind = rng.choices(kinds, weights=(6, 3, 5, 3, 2, 1 if now > 75 else 0, 1))[0]
+        unrevealed = [h for h, p in dst.pending_in.items()
+                      if h not in dst.revealed_unreceipted and p.expiry > now]
+        acted = False
+        if kind == "promise" and not src.out_frozen and src.available_balance() > 0:
+            amount = rng.randint(1, min(40, src.available_balance()))
+            proposal, _ = dst.make_proposal(f"p-{now}", amount, now + rng.randint(2, 30),
+                                            now, rng)
+            src.promise_raw(proposal.amount, proposal.hashlock, proposal.expiry, now)
+            acted = True
+        elif kind == "seal":
+            acted = _deliver(src, dst, sk, now)
+        elif kind == "secret" and unrevealed:
+            src.resolve_secret(dst.reveal_secret(rng.choice(unrevealed)), now)
+            acted = True
+        elif kind == "receipt":
+            acted = _receipt(src, dst, sk, now)
+        elif kind == "expire":
+            for a, b in ((pair.client, pair.hub), (pair.hub, pair.client)):
+                _receipt(a, b, pair.key_of(a.owner), now)
+            acted = bool(pair.client.expire_pending(now) + pair.hub.expire_pending(now))
+        elif kind == "claim" and unrevealed:
+            hashlock = rng.choice(unrevealed)
+            amount = dst.pending_in[hashlock].amount
+            dst.note_self_claimed(hashlock, amount)
+            src.note_peer_claimed(hashlock, amount)
+            acted = True
+        elif kind == "reload":
+            for name in ("client", "hub"):
+                blob = json.dumps(getattr(pair, name).to_jsonable(), sort_keys=True)
+                setattr(pair, name, ChannelState.from_jsonable(json.loads(blob)))
+            acted = True
+        done[kind] += acted
+        assert_pending_totals(pair.client, pair.hub)
+    assert all(done[kind] for kind in kinds), done
 
 
 def test_unrevealed_secret_incurs_no_liability():

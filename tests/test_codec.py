@@ -1,10 +1,12 @@
 """Canonical encoding: determinism, injectivity, and frozen golden vectors."""
 
 import hashlib
+import sys
+import threading
 
 import pytest
 
-from hubpay import codec
+from hubpay import codec, crypto
 from hubpay.errors import EncodingError
 from hubpay.messages import PaymentProposal, Promise
 
@@ -42,6 +44,34 @@ def test_differing_amounts_encode_differently():
     a = Promise("ch", "alice", 1, 5, h, 100)
     b = Promise("ch", "alice", 1, 6, h, 100)
     assert a.signing_bytes != b.signing_bytes
+
+
+def test_canonical_caches_take_no_lock_yet_agree_across_threads():
+    # threads race on each promise's first access; every one must read the
+    # value its fields give, and a signed copy must keep the cached values
+    def fresh():
+        return [Promise("ch", "alice", i, 5, i.to_bytes(32, "big"), 100) for i in range(300)]
+
+    expected = [crypto.sha256(b"\x00" + crypto.sha256(p.signing_bytes))
+                for p in fresh()]
+    shared = fresh()
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: seen.append([p.leaf_hash for p in shared]))
+                   for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [expected] * 6
+    signed = shared[0].with_sig(crypto.Signature(crypto.SCHEME_A, b"\x01" * 64))
+    assert {k: signed.__dict__[k] for k in ("signing_bytes", "digest", "leaf_hash")} == {
+        k: shared[0].__dict__[k] for k in ("signing_bytes", "digest", "leaf_hash")}
 
 
 def test_field_order_cannot_change_output():

@@ -425,3 +425,58 @@ def test_snapshot_in_the_middle_of_a_batch_round_trips():
     assert [(dst, m.kind) for dst, m in outbox] == [("bob", K_PROMISE)] * 3
     assert recovered.flush_receipts(2) == outbox
     assert recovered.persist_json() == hub.persist_json()
+
+
+def test_capacity_check_holds_while_the_payer_withholds_receipts():
+    hub, ledger = build_hub(delta=4)
+    a_sk, _, _ = register(hub, ledger, "alice", mode="CONCURRENT")
+    register(hub, ledger, "bob", mode="CONCURRENT")
+    fund(hub, ledger, "alice", 1000)
+    count = 200
+    preimages = [i.to_bytes(2, "big") * 16 for i in range(count)]
+    for i, preimage in enumerate(preimages):
+        promise = make_client_promise(hub, a_sk, "alice", 1 + i % 4,
+                                      hash_commit(preimage), 1000, index=i + 1)
+        assert hub.handle_message("alice", WireMessage(K_PROMISE, {
+            "payment_id": f"p{i}", "payee": "bob",
+            "promise": promise.to_jsonable()}), now=2) == []
+    forwarded = [Promise.from_jsonable(m.body["promise"]) for _, m in hub.flush_receipts(2)]
+    assert len(forwarded) == count
+    reveal_all(hub, list(zip(forwarded, preimages)))
+    # every payment is paid to bob; alice has every secret and sends no receipt
+    in_state = hub.channel_of("alice")
+    assert len(in_state.pending_in) == len(in_state.revealed_unreceipted) == count
+    spendable = in_state.peer_spendable()
+    assert spendable == 1000 - sum(1 + i % 4 for i in range(count))
+
+    def offer(amount, payment_id):
+        promise = make_client_promise(hub, a_sk, "alice", amount,
+                                      hash_commit(payment_id.encode() * 8), 1000,
+                                      index=count + 1)
+        return hub.handle_message("alice", WireMessage(K_PROMISE, {
+            "payment_id": payment_id, "payee": "bob",
+            "promise": promise.to_jsonable()}), now=3)
+
+    [(dst, refused)] = offer(spendable + 1, "over")
+    assert (dst, refused.kind, refused.body["code"]) == ("alice", "ERROR",
+                                                         "InsufficientCapacity")
+    assert offer(spendable, "full") == []  # routed, sealed when the batch ends
+    assert in_state.peer_spendable() == 0
+
+
+def test_recovered_routes_share_the_promises_on_the_books():
+    hub, ledger, a_sk = concurrent_hub()
+    routed = route_concurrent_pair(hub, ledger, a_sk)
+    reveal_all(hub, routed[:1])
+    snapshot = HubStore()
+    snapshot.set_snapshot(json.loads(hub.persist_json()))
+    recovered = HubCore.recover(hub.config, hub.ledgers, snapshot)
+    assert recovered.persist_json() == hub.persist_json()
+    alice, bob = (recovered.channel_of(cid) for cid in ("alice", "bob"))
+    (paid, _), (open_, _) = routed
+    # alice receipted neither payment; bob's books keep only the unpaid one
+    for outgoing, _ in routed:
+        assert recovered.routes[outgoing.hashlock].in_promise is alice.pending_in[outgoing.hashlock]
+    assert recovered.routes[open_.hashlock].out_promise is bob.pending_out[open_.hashlock]
+    assert paid.hashlock not in bob.pending_out
+    assert recovered.routes[paid.hashlock].out_promise == hub.routes[paid.hashlock].out_promise

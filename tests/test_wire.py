@@ -463,3 +463,27 @@ def test_daemon_orders_receipts_after_the_promises_they_commit_to(live_hub):
     assert hub_rejected == 0
     assert rejected == []
     assert onchain_claims(server) == []
+
+
+def nodelay(sock: socket.socket) -> bool:
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+def test_both_ends_of_a_daemon_connection_send_without_nagle(live_hub):
+    server, _ = live_hub
+    alice = live_peer(server.address, "alice")  # after its hello
+    assert nodelay(alice.stream.sock)
+    assert nodelay(server.connections["alice"].sock)
+    alice.stream.close()
+
+
+def test_frame_stream_over_a_local_socket_pair():
+    left, right = (FrameStream(s) for s in socket.socketpair())
+    msg = WireMessage("OK", {"client_id": "alice"})
+    left.send(msg)
+    assert right.recv(timeout=5) == msg
+    right.send(error_message("Nope", "refused"))
+    assert left.recv(timeout=5) == error_message("Nope", "refused")
+    left.close()
+    assert right.recv(timeout=5) is None
+    right.close()
