@@ -51,6 +51,11 @@ ROUTE_EXPIRED = "EXPIRED"
 
 TERMINAL_ROUTES = {ROUTE_SETTLED_OUT, ROUTE_SETTLED_IN, ROUTE_EXPIRED}
 
+# The journal is checkpointed once it holds this many entries, or one per
+# route if that is more, so the checkpoint's O(state) cost per entry stays
+# constant however long the hub runs
+CHECKPOINT_FLOOR = 1024
+
 
 @dataclass
 class HubConfig:
@@ -122,7 +127,11 @@ class RouteContext:
 
 
 class HubStore:
-    """Persistence backend: latest snapshot plus the journal since it."""
+    """Persistence backend: latest snapshot plus the journal since it.
+
+    The hub checkpoints into it by itself (see ``HubCore._journal``), so the
+    journal never holds more than ``max(CHECKPOINT_FLOOR, routes)`` entries.
+    """
 
     def __init__(self):
         self.snapshot: dict | None = None
@@ -203,8 +212,14 @@ class HubCore:
         return self.channels.get(reg.channel_id)
 
     def _journal(self, entry: dict) -> None:
-        if not self.replaying:
-            self.store.append(entry)
+        """Log an input before it changes any state. A full journal is first
+        checkpointed, so the snapshot holds exactly the state after the
+        entries it replaces."""
+        if self.replaying:
+            return
+        if len(self.store.journal) >= max(CHECKPOINT_FLOOR, len(self.routes)):
+            self.snapshot_now()
+        self.store.append(entry)
 
     def _ledger_call(self, fn, *args, **kwargs):
         """Submit a ledger operation unless replaying the journal (the live
@@ -694,6 +709,9 @@ class HubCore:
     def recover(cls, config: HubConfig, ledgers: dict[str, Ledger],
                 store: HubStore) -> "HubCore":
         """Rebuild a hub from its snapshot plus the journal written since.
+        The live hub checkpoints whenever its journal reaches
+        ``max(CHECKPOINT_FLOOR, len(routes))`` entries, so recovery is a
+        snapshot load plus at most that many replayed entries.
 
         Journal replay re-runs the original handlers with ledger submissions
         and outbox delivery suppressed; ledger-derived state is re-learned by

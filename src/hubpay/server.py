@@ -16,6 +16,7 @@ peer's delayed acknowledgement.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 from collections import Counter
@@ -142,12 +143,17 @@ class HubServer:
 
     def _tick_loop(self) -> None:
         while not self._stop.wait(self.tick_seconds):
-            with self.lock:
-                for ledger_id in sorted(self.ledgers):
-                    self.ledgers[ledger_id].advance_time(1)
-                streams = self._enqueue(self.hub.hub_tick(self._now()))
-                self._count_notes()
-            self._flush(streams)
+            self.tick()
+
+    def tick(self) -> None:
+        """One logical tick: advance the hosted ledgers' clocks, then run
+        the hub's background handler and send what it answers."""
+        with self.lock:
+            for ledger_id in sorted(self.ledgers):
+                self.ledgers[ledger_id].advance_time(1)
+            streams = self._enqueue(self.hub.hub_tick(self._now()))
+            self._count_notes()
+        self._flush(streams)
 
     def _now(self) -> int:
         return max(l.now for l in self.ledgers.values())
@@ -277,8 +283,7 @@ class HubServer:
                                     for lid, l in sorted(self.ledgers.items())},
                     }
                     if self.snapshot_path:
-                        with open(self.snapshot_path, "w", encoding="utf-8") as fh:
-                            json.dump(snap, fh, sort_keys=True)
+                        _write_durably(self.snapshot_path, snap)
                         return WireMessage(K_ADMIN_RESULT,
                                            {"ok": True, "path": self.snapshot_path})
                     return WireMessage(K_ADMIN_RESULT, {"ok": True, "snapshot": snap})
@@ -314,6 +319,17 @@ class HubServer:
         except HubpayError as exc:
             return WireMessage(K_ADMIN_RESULT, {"ok": False, "error": exc.code,
                                                 "detail": exc.detail})
+
+
+def _write_durably(path: str, obj: dict) -> None:
+    """Write ``obj`` as JSON to a temporary file, sync it and rename it over
+    ``path``, so a crash mid-write leaves the previous file whole."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 class RemoteLedger:

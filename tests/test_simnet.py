@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from hubpay import hub, simnet
 from hubpay.errors import ScenarioError
+from hubpay.hub import HubCore
 from hubpay.scenarios import base_two_clients, cross_ledger, happy_path
 from hubpay.simnet import World, load_scenario, run_scenario, throughput_bench
 from hubpay.wire import receipt_message
@@ -190,3 +192,61 @@ def test_redelivered_last_receipt_changes_nothing(mode):
     assert hub.persist_json() == hub_before
     assert [n["action"] for n in bob.trace] == ["receipt_duplicate"]
     assert [n["action"] for n in hub.trace] == ["receipt_duplicate"]
+
+
+def crash_mid_payments(mode: str) -> dict:
+    """Three payments; the hub is down while the first is in flight."""
+    scenario = happy_path(mode=mode)
+    scenario["script"] += [{"at": 10, "action": "crash", "actor": "hub"},
+                           {"at": 13, "action": "restart", "actor": "hub"}]
+    return scenario
+
+
+CRASH_RUNS = {
+    "hub_crash_recovery": lambda: load_scenario("scenarios/hub_crash_recovery.json"),
+    "serialized": lambda: crash_mid_payments("SERIALIZED"),
+    "concurrent": lambda: crash_mid_payments("CONCURRENT"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(CRASH_RUNS))
+def test_checkpoint_before_every_entry_changes_no_report(monkeypatch, run):
+    at_default = World(CRASH_RUNS[run]())
+    expected = at_default.run()
+    assert expected.ok(), expected.assertion_results
+    # too short a run to reach the default floor: recovery replays it all
+    assert at_default.hub_store.snapshot is None
+    monkeypatch.setattr(hub, "CHECKPOINT_FLOOR", 1)
+    world = World(CRASH_RUNS[run]())
+    report = world.run()
+    # one entry per route at most, as routes outnumber the floor
+    assert world.hub_store.snapshot is not None
+    assert len(world.hub_store.journal) <= max(1, len(world.hub.routes))
+    assert report.canonical_bytes() == expected.canonical_bytes()
+
+
+def test_hub_journal_stays_bounded_through_a_long_bench(monkeypatch):
+    worlds, longest = [], []
+
+    class KeptWorld(World):
+        def __init__(self, scenario):
+            super().__init__(scenario)
+            worlds.append(self)
+            store, append = self.hub_store, self.hub_store.append
+
+            def measured_append(entry):
+                append(entry)
+                longest.append(len(store.journal))
+            store.append = measured_append
+
+    monkeypatch.setattr(simnet, "World", KeptWorld)
+    payments = 1200  # past the floor: about 2 journal entries per payment
+    assert throughput_bench(payments).metrics["payments_paid"] == payments
+    (world,) = worlds
+    assert world.hub_store.snapshot is not None
+    # routes only grow, so the final threshold is the largest there was
+    assert max(longest) <= max(hub.CHECKPOINT_FLOOR, len(world.hub.routes))
+    recovered = HubCore.recover(world.hub_config, world.ledgers, world.hub_store)
+    # a bare bool: pytest's diff of two megabyte strings would take minutes
+    same = recovered.persist_json() == world.hub.persist_json()
+    assert same, "recovered hub state differs from the live hub"

@@ -1,6 +1,7 @@
 """Wire protocol framing plus the socket deployment of hub and wallet."""
 
 import json
+import os
 import socket
 import struct
 import threading
@@ -9,10 +10,10 @@ from dataclasses import replace
 
 import pytest
 
-from hubpay import cli, codec
-from hubpay.channel import ChannelState
+from hubpay import cli, codec, hub
+from hubpay.channel import ChannelState, close_balances
 from hubpay.errors import EncodingError
-from hubpay.hub import HubConfig
+from hubpay.hub import HubConfig, HubCore
 from hubpay.server import HubServer, SocketWallet, build_hub_config, build_ledgers
 from hubpay.wallet import WalletConfig
 from hubpay.wire import (
@@ -142,17 +143,25 @@ def test_frames_queued_together_leave_in_one_write():
 
 # -- socket deployment -------------------------------------------------------------------
 
-@pytest.fixture()
-def live_hub():
+def start_hub(tick_seconds: float = 0.01, snapshot_path: str | None = None,
+              **overrides) -> HubServer:
+    """A daemon on a free loopback port hosting one ledger; ``overrides``
+    replace keys of its config."""
     config = {
         "ledgers": [{"ledger_id": "L1", "scheme": "SCHEME_A",
                      "genesis": {"alice": 1000, "bob": 1000, "hub": 100_000}}],
         "fee_bps": 0, "claim_margin_delta": 40, "dispute_window": 60,
-        "channel_float": 5000,
+        "channel_float": 5000, **overrides,
     }
-    server = HubServer(build_hub_config(config), build_ledgers(config),
-                       port=0, tick_seconds=0.01)
+    server = HubServer(build_hub_config(config), build_ledgers(config), port=0,
+                       tick_seconds=tick_seconds, snapshot_path=snapshot_path)
     server.start_background()
+    return server
+
+
+@pytest.fixture()
+def live_hub():
+    server = start_hub()
     yield server, f"127.0.0.1:{server.address[1]}"
     server.shutdown()
 
@@ -365,6 +374,48 @@ def live_peer(address, client_id: str) -> SocketWallet:
     return peer
 
 
+def funded_peers(server: HubServer, tick) -> dict[str, SocketWallet]:
+    """alice and bob, registered, each with 500 deposited and seen by both
+    ends; ``tick`` moves the hub on while they wait."""
+    peers = {cid: live_peer(server.address, cid) for cid in ("alice", "bob")}
+    for peer in peers.values():
+        peer.wallet.deposit(500)
+    deadline = time.monotonic() + 5
+    while not all(server.hub.channel_of(cid).peer_deposit == 500
+                  and peer.wallet.state.my_deposit == 500
+                  for cid, peer in peers.items()):
+        assert time.monotonic() < deadline, "deposits not observed"
+        tick()
+        for peer in peers.values():
+            peer.pump()
+            peer.tick()
+    return peers
+
+
+def pay(peers: dict[str, SocketWallet], payer: str, payee: str, count: int,
+        amount: int, window: int = 8) -> None:
+    """``count`` payments, up to ``window`` in flight, all PAID and RECEIVED."""
+    src, dst = peers[payer], peers[payee]
+    issued, open_ids = 0, set()
+    deadline = time.monotonic() + 30
+    while issued < count or open_ids:
+        assert time.monotonic() < deadline, f"{len(open_ids)} payments unresolved"
+        while issued < count and len(open_ids) < window:
+            issued += 1
+            pid = f"{payer}-{issued:03d}"
+            proposal = dst.wallet.issue_proposal(pid, payer, amount, 400, dst.remote.now)
+            src.send_all(src.wallet.start_payment_with_proposal(
+                pid, payee, proposal, src.remote.now))
+            open_ids.add(pid)
+        for peer in (src, dst):
+            peer.pump(0.01)
+        open_ids = {pid for pid in open_ids
+                    if pid in src.wallet.open_flows or pid in dst.wallet.open_flows}
+    assert all(src.wallet.flows[f"{payer}-{k:03d}"].outcome == "PAID"
+               and dst.wallet.flows[f"{payer}-{k:03d}"].outcome == "RECEIVED"
+               for k in range(1, count + 1))
+
+
 def test_relayed_proposal_names_the_connections_client(live_hub):
     server, _ = live_hub
     alice, bob = (live_peer(server.address, cid) for cid in ("alice", "bob"))
@@ -410,18 +461,7 @@ def test_daemon_orders_receipts_after_the_promises_they_commit_to(live_hub):
     # routes promises to a client on one connection's thread while it
     # receipts that client's secrets on another's
     server, _ = live_hub
-    peers = {cid: live_peer(server.address, cid) for cid in ("alice", "bob")}
-    for peer in peers.values():
-        peer.wallet.deposit(500)
-    deadline = time.monotonic() + 5
-    while not all(server.hub.channel_of(cid).peer_deposit == 500
-                  and peer.wallet.state.my_deposit == 500
-                  for cid, peer in peers.items()):
-        assert time.monotonic() < deadline, "deposits not observed"
-        for peer in peers.values():
-            peer.pump()
-            peer.tick()
-        time.sleep(0.02)
+    peers = funded_peers(server, lambda: time.sleep(0.02))
     per_direction, window, amount = 60, 8, 5
     issued = {"alice": 0, "bob": 0}
     open_ids: set[str] = set()
@@ -487,3 +527,122 @@ def test_frame_stream_over_a_local_socket_pair():
     left.close()
     assert right.recv(timeout=5) is None
     right.close()
+
+
+# -- persistence and disputes over sockets -------------------------------------------
+
+def test_daemon_journal_is_checkpointed_and_recovers(monkeypatch):
+    monkeypatch.setattr(hub, "CHECKPOINT_FLOOR", 8)
+    server = start_hub()
+    try:
+        store = server.hub.store
+        excess, append = [], store.append
+
+        def measured_append(entry):
+            # called under the server's lock
+            append(entry)
+            threshold = max(hub.CHECKPOINT_FLOOR, len(server.hub.routes))
+            excess.append(len(store.journal) - threshold)
+        store.append = measured_append
+        peers = funded_peers(server, lambda: time.sleep(0.02))
+        pay(peers, "alice", "bob", 50, 5)
+        with server.lock:
+            assert max(excess) <= 0
+            assert store.snapshot is not None
+            recovered = HubCore.recover(server.config, server.ledgers, store)
+            assert recovered.persist_json() == server.hub.persist_json()
+        for peer in peers.values():
+            peer.stream.close()
+    finally:
+        server.shutdown()
+
+
+def admin(server: HubServer, body: dict) -> dict | None:
+    """The body of the daemon's answer to one ADMIN frame; None if it
+    drops the connection instead."""
+    stream = FrameStream(socket.create_connection(server.address, timeout=10))
+    stream.send(WireMessage("ADMIN", body))
+    reply = stream.recv(timeout=5)
+    stream.close()
+    return reply.body if reply is not None else None
+
+
+def test_admin_snapshot_file_is_replaced_whole(tmp_path, monkeypatch):
+    path = tmp_path / "hub-snapshot.json"
+    path.write_text("the last snapshot")
+    # no ticks, so the state stays put between snapshots
+    server = start_hub(tick_seconds=3600, snapshot_path=str(path))
+    try:
+        live_peer(server.address, "alice").stream.close()
+        assert admin(server, {"cmd": "snapshot"}) == {"ok": True, "path": str(path)}
+        written = json.loads(path.read_text())
+        assert os.listdir(tmp_path) == ["hub-snapshot.json"]
+        assert "alice" in written["hub"]["registry"]
+
+        # a write cut short leaves the previous file whole
+        def torn_dump(obj, fh, **kwargs):
+            fh.write('{"hub": {')
+            raise OSError("no space left on device")
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "dump", torn_dump)
+            # the daemon drops the connection
+            assert admin(server, {"cmd": "snapshot"}) is None
+        assert json.loads(path.read_text()) == written
+
+        server.snapshot_path = None
+        assert admin(server, {"cmd": "snapshot"})["snapshot"] == written
+    finally:
+        server.shutdown()
+
+
+def test_disputes_settle_through_remote_ledgers():
+    # the test is the ticker, so each step below happens at a chosen time
+    server = start_hub(tick_seconds=3600, dispute_window=10)
+    try:
+        peers = funded_peers(server, server.tick)
+        alice, bob = peers["alice"], peers["bob"]
+        pay(peers, "alice", "bob", 3, 20)
+        pay(peers, "bob", "alice", 2, 15)
+        # each party holds a receipt from the hub, and the hub one from each
+        assert alice.wallet.state.last_receipt_received is not None
+        assert bob.wallet.state.last_receipt_received is not None
+        ledger = server.ledgers["L1"]
+        a_channel, b_channel = alice.wallet.channel_id, bob.wallet.channel_id
+
+        # alice opens a dispute with her latest receipt, and the hub answers
+        # with hers; the hub opens one on bob's channel, and bob answers
+        alice.remote.initiate_dispute(a_channel, "alice",
+                                      alice.wallet.state.last_receipt_received)
+        assert admin(server, {"cmd": "close", "channel_id": b_channel}) == {"ok": True}
+        server.tick()
+        for peer in peers.values():
+            peer.tick()
+        with server.lock:
+            # the receipts each dispute holds, by issuer
+            disputes = {cid: ledger.contracts[cid].dispute.receipts
+                        for cid in (a_channel, b_channel)}
+        assert set(disputes[a_channel]) == {"alice", "hub"}
+        assert set(disputes[b_channel]) == {"bob", "hub"}
+        assert [n["action"] for n in bob.wallet.trace].count("dispute_response") == 1
+
+        # past the window, each wallet settles its own channel before the hub
+        # ticks again
+        with server.lock:
+            ledger.advance_time(server.config.dispute_window)
+        for peer in peers.values():
+            peer.tick()
+        server.tick()
+        for peer in peers.values():
+            peer.tick()
+            assert peer.wallet.settlement == close_balances(peer.wallet.state)
+            assert [n["action"] for n in peer.wallet.trace].count("finalized") == 1
+            peer.stream.close()
+        with server.lock:
+            assert server.note_counts["finalized"] == 0
+            assert {cid: c.status for cid, c in ledger.contracts.items()} == \
+                {a_channel: "CLOSED", b_channel: "CLOSED"}
+            assert ledger.total_value() == 1000 + 1000 + 100_000
+            assert ledger.balance("alice") == 1000 - 3 * 20 + 2 * 15
+            assert ledger.balance("bob") == 1000 + 3 * 20 - 2 * 15
+    finally:
+        server.shutdown()
