@@ -1,11 +1,14 @@
 """Socket deployment of the hub: framed transport, hosted ledgers, admin ops.
 
-One process owns the hub core plus its mock ledgers. Every connection is
-served by a thread, but all state mutations funnel through a single lock, so
-the ledger keeps its single-writer guarantee. A ticker thread advances the
-logical clock and runs the hub's background handler. The first hello on a
-connection binds it to one client, and every later protocol frame on it is
-that client's. Wallets reach their ledger through LEDGER_OP frames, whose
+One process owns the hub core plus its mock ledgers, and one thread serves
+them: a ``selectors`` loop whose every pass accepts, reads each ready
+connection once, hands the hub all whole frames in arrival order and ends
+the delivery batch once for all connections; the same thread ticks. The
+ledgers thus keep their single writer. The sockets are non-blocking; what
+a peer does not read waits in its connection's backlog, and a peer whose
+backlog outgrows ``MAX_BACKLOG`` is dropped. The first hello on a connection
+binds it to one client, and every later protocol frame on it is that
+client's. Wallets reach their ledger through LEDGER_OP frames, whose
 arguments ``LEDGER_OPS`` declares once, and mirror it locally from the event
 log; ``SocketWallet`` is the one loop that drives a wallet over a socket.
 Every connection, on both ends, is a ``FrameStream``, which turns Nagle's
@@ -17,8 +20,10 @@ from __future__ import annotations
 
 import json
 import os
+import selectors
 import socket
 import threading
+import time
 from collections import Counter
 from dataclasses import fields
 
@@ -36,12 +41,16 @@ from .wire import (
     K_OK,
     K_REGISTER,
     K_REGISTER_OK,
+    MAX_FRAME,
     FrameStream,
     WireMessage,
     error_message,
 )
 
 REPLY_TIMEOUT_S = 10.0  # how long a wallet waits on the hub for a ledger result
+# bytes a connection may leave unread before the daemon drops it: one whole
+# frame of the largest size, so a snapshot reply always fits
+MAX_BACKLOG = 4 + MAX_FRAME
 
 
 # -- ledger ops: one wire form per argument ---------------------------------------
@@ -90,7 +99,7 @@ LEDGER_OPS = {
 
 
 class HubServer:
-    """Serves one HubCore over TCP with hosted ledgers."""
+    """Serves one HubCore over TCP with hosted ledgers, from one thread."""
 
     def __init__(self, config: HubConfig, ledgers: dict[str, Ledger],
                  host: str = "127.0.0.1", port: int = 0,
@@ -100,32 +109,60 @@ class HubServer:
         self.hub = HubCore(config, ledgers, HubStore())
         # the hub's notes, tallied per action, so its trace stays empty
         self.note_counts: Counter[str] = Counter()
+        # held by the loop for each pass; other threads take it to read the
+        # state or to run ``tick``
         self.lock = threading.Lock()
         self.tick_seconds = tick_seconds
         self.snapshot_path = snapshot_path
         self.connections: dict[str, FrameStream] = {}
+        # every open connection, with the client its first hello (an OK or a
+        # REGISTER) named; every later protocol frame on it is that client's
+        self._clients: dict[FrameStream, str | None] = {}
+        # connections holding frames to write when the pass ends
+        self._unwritten: set[FrameStream] = set()
         self._stop = threading.Event()
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self.sock.bind((host, port))
         self.sock.listen(32)
+        self.sock.setblocking(False)
         self.address = self.sock.getsockname()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.sock, selectors.EVENT_READ)
 
     # -- lifecycle ---------------------------------------------------------------
 
     def serve_forever(self) -> None:
-        ticker = threading.Thread(target=self._tick_loop, daemon=True)
-        ticker.start()
+        """Serve every connection from this thread until ``shutdown``. Each
+        pass accepts, reads every ready connection once and hands the hub
+        its whole frames in arrival order, ends the batch once for all of
+        them and writes each client's frames in one write; then it ticks,
+        when a tick is due."""
+        next_tick = time.monotonic() + self.tick_seconds
         try:
             while not self._stop.is_set():
-                try:
-                    conn, _ = self.sock.accept()
-                except OSError:
-                    break
-                thread = threading.Thread(target=self._serve_connection,
-                                          args=(conn,), daemon=True)
-                thread.start()
+                ready = self._selector.select(next_tick - time.monotonic())
+                with self.lock:
+                    now = self._now()
+                    for key, events in ready:
+                        if key.data is None:
+                            self._accept()
+                        # unless a ``tick`` on another thread dropped it since
+                        elif key.data in self._clients:
+                            if events & selectors.EVENT_WRITE:
+                                self._unwritten.add(key.data)
+                            if events & selectors.EVENT_READ:
+                                self._read(key.data, now)
+                    self._deliver(self.hub.flush_receipts(now))
+                    self._send()
+                if time.monotonic() >= next_tick:
+                    self.tick()
+                    next_tick = time.monotonic() + self.tick_seconds
         finally:
+            with self.lock:
+                for stream in list(self._clients):
+                    self._drop(stream)
+            self._selector.close()
             self.sock.close()
 
     def start_background(self) -> threading.Thread:
@@ -134,16 +171,13 @@ class HubServer:
         return thread
 
     def shutdown(self) -> None:
+        """Stop the loop, which closes every connection as it ends."""
         self._stop.set()
         try:
+            # wakes the loop: the listening socket reads as ready
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self.sock.close()
-
-    def _tick_loop(self) -> None:
-        while not self._stop.wait(self.tick_seconds):
-            self.tick()
 
     def tick(self) -> None:
         """One logical tick: advance the hosted ledgers' clocks, then run
@@ -151,94 +185,105 @@ class HubServer:
         with self.lock:
             for ledger_id in sorted(self.ledgers):
                 self.ledgers[ledger_id].advance_time(1)
-            streams = self._enqueue(self.hub.hub_tick(self._now()))
-            self._count_notes()
-        self._flush(streams)
+            self._deliver(self.hub.hub_tick(self._now()))
+            self._send()
 
     def _now(self) -> int:
         return max(l.now for l in self.ledgers.values())
 
-    def _count_notes(self) -> None:
-        """Tally and clear the hub's notes; called under the lock."""
-        self.note_counts.update(note["action"] for note in self.hub.trace)
-        self.hub.trace.clear()
+    # -- connections ------------------------------------------------------------------
 
-    def _enqueue(self, outbox) -> set[FrameStream]:
-        """Queue an outbox on its destinations' streams; called under the
-        lock, so every client receives frames in the order the hub made
-        them. Returns the streams to flush once the lock is released."""
-        streams = set()
+    def _accept(self) -> None:
+        try:
+            conn, _ = self.sock.accept()
+        except OSError:
+            return  # shut down, or the peer left before it was accepted
+        conn.setblocking(False)
+        stream = FrameStream(conn)
+        self._clients[stream] = None
+        self._selector.register(conn, selectors.EVENT_READ, stream)
+
+    def _read(self, stream: FrameStream, now: int) -> None:
+        """Handle every whole frame of one read from ``stream``."""
+        try:
+            messages = stream.read()
+            for msg in messages or []:
+                if msg.kind == K_LEDGER_OP:
+                    self._reply(stream, self._ledger_op(msg.body))
+                elif msg.kind == K_ADMIN:
+                    self._reply(stream, self._admin(msg.body))
+                else:
+                    self._handle(stream, msg, now)
+        except BlockingIOError:
+            return
+        except (OSError, EncodingError):
+            # the peer left, sent bytes that are not frames, or drew an
+            # answer too large for one
+            messages = None
+        if messages is None:
+            self._drop(stream)
+
+    def _handle(self, stream: FrameStream, msg: WireMessage, now: int) -> None:
+        """Bind the connection at its first hello, and hand the hub every
+        protocol frame as its client's."""
+        client = self._clients[stream]
+        named = msg.body.get("client_id")
+        if client is None and msg.kind in (K_OK, K_REGISTER) and isinstance(named, str):
+            client = self._clients[stream] = named
+        if client is not None:
+            self.connections[client] = stream
+        if msg.kind == K_OK:
+            pass  # a hello only binds
+        elif client is not None and (msg.kind != K_REGISTER or named == client):
+            self._deliver(self.hub.handle_message(client, msg, now))
+        else:
+            self._reply(stream, error_message("NoRoute", "unidentified sender"))
+
+    def _reply(self, stream: FrameStream, msg: WireMessage) -> None:
+        stream.enqueue(msg)
+        self._unwritten.add(stream)
+
+    def _deliver(self, outbox) -> None:
+        """Queue an outbox on its destinations' connections, in the order
+        the hub made it."""
         for dst, msg in outbox:
             stream = self.connections.get(dst)
             if stream is not None:
-                stream.enqueue(msg)
-                streams.add(stream)
-        return streams
+                self._reply(stream, msg)
 
-    def _flush(self, streams: set[FrameStream]) -> None:
-        for stream in streams:
+    def _send(self) -> None:
+        """Tally and clear the hub's notes, then write each connection's
+        queued frames. What a socket does not take waits for it to drain;
+        a peer that leaves more than ``MAX_BACKLOG`` unread is dropped."""
+        self.note_counts.update(note["action"] for note in self.hub.trace)
+        self.hub.trace.clear()
+        unwritten, self._unwritten = self._unwritten, set()
+        for stream in unwritten:
             try:
-                stream.flush()
+                backlog = stream.write()
             except OSError:
-                for client_id, bound in list(self.connections.items()):
-                    if bound is stream:
-                        self.connections.pop(client_id, None)
+                backlog = None  # the peer left
+            if backlog is None or backlog > MAX_BACKLOG:
+                self._drop(stream)
+                continue
+            events = selectors.EVENT_READ | (selectors.EVENT_WRITE if backlog else 0)
+            if self._selector.get_key(stream.sock).events != events:
+                self._selector.modify(stream.sock, events, stream)
 
-    # -- per-connection loop --------------------------------------------------------
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        stream = FrameStream(conn)
-        # the connection's client, named once by its first hello (an OK or
-        # a REGISTER); every later protocol frame on it comes from this client
-        client: str | None = None
-        try:
-            while not self._stop.is_set():
-                msg = stream.recv()
-                if msg is None:
-                    break
-                src = None
-                if msg.kind == K_LEDGER_OP:
-                    stream.send(self._ledger_op(msg.body))
-                elif msg.kind == K_ADMIN:
-                    stream.send(self._admin(msg.body))
-                else:
-                    named = msg.body.get("client_id")
-                    if client is None and msg.kind in (K_OK, K_REGISTER) \
-                            and isinstance(named, str):
-                        client = named
-                    if client is not None:
-                        self.connections[client] = stream
-                    if msg.kind == K_OK:
-                        pass  # a hello only binds
-                    elif client is not None and (msg.kind != K_REGISTER or named == client):
-                        src = client
-                    else:
-                        stream.send(error_message("NoRoute", "unidentified sender"))
-                end_of_batch = not stream.buffered()
-                if src is None and not end_of_batch:
-                    continue  # nothing for the hub core until the batch ends
-                with self.lock:
-                    now = self._now()
-                    outbox = self.hub.handle_message(src, msg, now) if src is not None else []
-                    if end_of_batch:
-                        # every frame of the last read is handled
-                        outbox += self.hub.flush_receipts(now)
-                    streams = self._enqueue(outbox)
-                    self._count_notes()
-                self._flush(streams)
-        except (OSError, EncodingError):
-            pass  # the peer left, or sent bytes that are not frames
-        finally:
-            if client is not None and self.connections.get(client) is stream:
-                self.connections.pop(client, None)
-            stream.close()
+    def _drop(self, stream: FrameStream) -> None:
+        """Close a connection and unbind its client."""
+        client = self._clients.pop(stream)
+        if client is not None and self.connections.get(client) is stream:
+            del self.connections[client]
+        self._unwritten.discard(stream)
+        self._selector.unregister(stream.sock)
+        stream.close()
 
     # -- wallet-facing ledger access ---------------------------------------------------
 
     def _ledger_op(self, body: dict) -> WireMessage:
         try:
-            with self.lock:
-                result = self._run_ledger_op(body)
+            result = self._run_ledger_op(body)
             return WireMessage(K_LEDGER_RESULT, {"ok": True, "result": result})
         except DECODE_ERRORS as exc:
             # every Ledger method validates before it emits, so a malformed
@@ -275,50 +320,52 @@ class HubServer:
     def _admin(self, body: dict) -> WireMessage:
         cmd = body.get("cmd")
         try:
-            with self.lock:
-                if cmd == "snapshot":
-                    snap = {
-                        "hub": self.hub.snapshot_now(),
-                        "ledgers": {lid: l.snapshot()
-                                    for lid, l in sorted(self.ledgers.items())},
-                    }
-                    if self.snapshot_path:
-                        _write_durably(self.snapshot_path, snap)
-                        return WireMessage(K_ADMIN_RESULT,
-                                           {"ok": True, "path": self.snapshot_path})
-                    return WireMessage(K_ADMIN_RESULT, {"ok": True, "snapshot": snap})
-                if cmd == "channels":
-                    rows = []
-                    for cid, state in sorted(self.hub.channels.items()):
-                        ledger = self.ledgers[state.params.ledger_id]
-                        contract = ledger.contracts.get(cid)
-                        rows.append({
-                            "channel_id": cid,
-                            "client": state.params.client_id,
-                            "ledger": state.params.ledger_id,
-                            "mode": state.params.mode,
-                            "status": contract.status if contract else "UNKNOWN",
-                            "client_deposit": state.peer_deposit,
-                            "hub_deposit": state.my_deposit,
-                            "credit_to_client": state.credit_sent,
-                            "credit_to_hub": state.credit_received,
-                        })
-                    return WireMessage(K_ADMIN_RESULT, {"ok": True, "channels": rows})
-                if cmd == "close":
-                    client = None
-                    for reg in self.hub.registry.values():
-                        if reg.channel_id == body.get("channel_id"):
-                            client = reg.client_id
-                    if client is None:
-                        return WireMessage(K_ADMIN_RESULT,
-                                           {"ok": False, "error": "NotFound"})
-                    self.hub.initiate_close(client, self._now())
-                    return WireMessage(K_ADMIN_RESULT, {"ok": True})
+            if cmd == "snapshot":
+                snap = {
+                    "hub": self.hub.snapshot_now(),
+                    "ledgers": {lid: l.snapshot()
+                                for lid, l in sorted(self.ledgers.items())},
+                }
+                if self.snapshot_path:
+                    _write_durably(self.snapshot_path, snap)
+                    return WireMessage(K_ADMIN_RESULT,
+                                       {"ok": True, "path": self.snapshot_path})
+                return WireMessage(K_ADMIN_RESULT, {"ok": True, "snapshot": snap})
+            if cmd == "channels":
+                rows = []
+                for cid, state in sorted(self.hub.channels.items()):
+                    ledger = self.ledgers[state.params.ledger_id]
+                    contract = ledger.contracts.get(cid)
+                    rows.append({
+                        "channel_id": cid,
+                        "client": state.params.client_id,
+                        "ledger": state.params.ledger_id,
+                        "mode": state.params.mode,
+                        "status": contract.status if contract else "UNKNOWN",
+                        "client_deposit": state.peer_deposit,
+                        "hub_deposit": state.my_deposit,
+                        "credit_to_client": state.credit_sent,
+                        "credit_to_hub": state.credit_received,
+                    })
+                return WireMessage(K_ADMIN_RESULT, {"ok": True, "channels": rows})
+            if cmd == "close":
+                client = None
+                for reg in self.hub.registry.values():
+                    if reg.channel_id == body.get("channel_id"):
+                        client = reg.client_id
+                if client is None:
+                    return WireMessage(K_ADMIN_RESULT,
+                                       {"ok": False, "error": "NotFound"})
+                self.hub.initiate_close(client, self._now())
+                return WireMessage(K_ADMIN_RESULT, {"ok": True})
             return WireMessage(K_ADMIN_RESULT, {"ok": False, "error": "NotFound",
                                                 "detail": f"admin cmd {cmd}"})
         except HubpayError as exc:
             return WireMessage(K_ADMIN_RESULT, {"ok": False, "error": exc.code,
                                                 "detail": exc.detail})
+        except OSError as exc:  # the snapshot file could not be written
+            return WireMessage(K_ADMIN_RESULT, {"ok": False, "error": "IOError",
+                                                "detail": str(exc)})
 
 
 def _write_durably(path: str, obj: dict) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import socket
 import struct
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -104,12 +103,13 @@ def decode_frames(buffer: bytes) -> tuple[list[WireMessage], bytes]:
 
 
 class FrameStream:
-    """Blocking frame reader/writer over a connected socket.
+    """Frame reader/writer over a connected socket.
 
-    Frames are sent in the order they are queued, whichever thread queues
-    them; a thread that finds another one sending leaves its frames to it.
-    Received bytes are collected as they arrive and decoded once the first
-    frame is whole, so a large frame costs time linear in its size.
+    ``read`` and ``write`` are one socket call each, so a loop over a
+    non-blocking socket can drive them; ``recv`` and ``flush`` are their
+    blocking forms. Frames leave in the order they are queued. Received
+    bytes are collected as they arrive and decoded once the first frame is
+    whole, so a large frame costs time linear in its size.
 
     On a TCP socket Nagle's algorithm is off (``TCP_NODELAY``): the protocol
     is request/response in small frames, and Nagle would hold each one back
@@ -124,30 +124,35 @@ class FrameStream:
         self._chunks: list[bytes] = []
         self._size = 0
         self._pending: deque[WireMessage] = deque()
-        self._outbox: deque[WireMessage] = deque()
-        self._sending = threading.Lock()
+        # encoded frames queued and not yet taken by the socket
+        self._unsent = bytearray()
 
     def send(self, msg: WireMessage) -> None:
         self.enqueue(msg)
         self.flush()
 
     def enqueue(self, msg: WireMessage) -> None:
-        self._outbox.append(msg)
+        self._unsent += encode_frame(msg)
 
     def flush(self) -> None:
-        """Send every queued frame, unless another thread already is. The
-        frames queued at one moment leave in one write: with Nagle off each
-        write is a segment of its own, so one write per flush keeps the
-        system calls and packets to one per batch of frames."""
-        while self._outbox and self._sending.acquire(blocking=False):
+        """Send every queued frame in one write: with Nagle off each write is
+        a segment of its own, so one write per flush keeps the system calls
+        and packets to one per batch of frames."""
+        if self._unsent:
+            data, self._unsent = self._unsent, bytearray()
+            self.sock.sendall(data)
+
+    def write(self) -> int:
+        """Offer every queued byte to the socket in one write and return how
+        many it left queued, for a later write; a non-blocking socket takes
+        what fits in its buffer."""
+        if self._unsent:
             try:
-                while self._outbox:
-                    frames = []
-                    while self._outbox:
-                        frames.append(encode_frame(self._outbox.popleft()))
-                    self.sock.sendall(b"".join(frames))
-            finally:
-                self._sending.release()
+                sent = self.sock.send(self._unsent)
+            except BlockingIOError:
+                sent = 0
+            del self._unsent[:sent]
+        return len(self._unsent)
 
     def buffered(self) -> bool:
         """True while frames from the last read remain to be returned."""
@@ -155,20 +160,29 @@ class FrameStream:
 
     def recv(self, timeout: float | None = None) -> WireMessage | None:
         """Next frame, or None once the peer closes the stream."""
-        if self._pending:
-            return self._pending.popleft()
-        self.sock.settimeout(timeout)
-        while self._size < self._first_frame_end():
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                return None
-            self._chunks.append(chunk)
-            self._size += len(chunk)
+        if not self._pending:
+            self.sock.settimeout(timeout)
+            while not self._pending:
+                messages = self.read()
+                if messages is None:
+                    return None
+                self._pending.extend(messages)
+        return self._pending.popleft()
+
+    def read(self) -> list[WireMessage] | None:
+        """One read from the socket: the frames it completes, in order, or
+        None once the peer has closed the stream."""
+        chunk = self.sock.recv(65536)
+        if not chunk:
+            return None
+        self._chunks.append(chunk)
+        self._size += len(chunk)
+        if self._size < self._first_frame_end():
+            return []
         messages, rest = decode_frames(b"".join(self._chunks))
         self._chunks = [rest] if rest else []
         self._size = len(rest)
-        self._pending.extend(messages)
-        return self._pending.popleft()
+        return messages
 
     def _first_frame_end(self) -> int:
         """How many received bytes complete the first frame. An oversize

@@ -10,11 +10,17 @@ from dataclasses import replace
 
 import pytest
 
-from hubpay import cli, codec, hub
+from hubpay import cli, codec, hub, wire
 from hubpay.channel import ChannelState, close_balances
 from hubpay.errors import EncodingError
 from hubpay.hub import HubConfig, HubCore
-from hubpay.server import HubServer, SocketWallet, build_hub_config, build_ledgers
+from hubpay.server import (
+    MAX_BACKLOG,
+    HubServer,
+    SocketWallet,
+    build_hub_config,
+    build_ledgers,
+)
 from hubpay.wallet import WalletConfig
 from hubpay.wire import (
     KINDS,
@@ -143,18 +149,23 @@ def test_frames_queued_together_leave_in_one_write():
 
 # -- socket deployment -------------------------------------------------------------------
 
-def start_hub(tick_seconds: float = 0.01, snapshot_path: str | None = None,
-              **overrides) -> HubServer:
-    """A daemon on a free loopback port hosting one ledger; ``overrides``
-    replace keys of its config."""
+def new_hub(tick_seconds: float = 0.01, snapshot_path: str | None = None,
+            **overrides) -> HubServer:
+    """A daemon, not yet serving, on a free loopback port hosting one
+    ledger; ``overrides`` replace keys of its config."""
     config = {
         "ledgers": [{"ledger_id": "L1", "scheme": "SCHEME_A",
                      "genesis": {"alice": 1000, "bob": 1000, "hub": 100_000}}],
         "fee_bps": 0, "claim_margin_delta": 40, "dispute_window": 60,
         "channel_float": 5000, **overrides,
     }
-    server = HubServer(build_hub_config(config), build_ledgers(config), port=0,
-                       tick_seconds=tick_seconds, snapshot_path=snapshot_path)
+    return HubServer(build_hub_config(config), build_ledgers(config), port=0,
+                     tick_seconds=tick_seconds, snapshot_path=snapshot_path)
+
+
+def start_hub(**kwargs) -> HubServer:
+    """``new_hub``, serving from a background thread."""
+    server = new_hub(**kwargs)
     server.start_background()
     return server
 
@@ -457,9 +468,9 @@ def test_malformed_ledger_op_leaves_the_connection_open(live_hub):
 
 
 def test_daemon_orders_receipts_after_the_promises_they_commit_to(live_hub):
-    # both wallets pay each other with many payments in flight, so the hub
-    # routes promises to a client on one connection's thread while it
-    # receipts that client's secrets on another's
+    # both wallets pay each other with many payments in flight, so one pass
+    # of the daemon's loop can route promises to a client from one
+    # connection and receipt that client's secrets from the other
     server, _ = live_hub
     peers = funded_peers(server, lambda: time.sleep(0.02))
     per_direction, window, amount = 60, 8, 5
@@ -529,6 +540,77 @@ def test_frame_stream_over_a_local_socket_pair():
     right.close()
 
 
+# -- one thread serves every connection ---------------------------------------------
+
+def test_connections_add_no_threads_and_shutdown_ends_everything():
+    server = new_hub(tick_seconds=3600)
+    thread = server.start_background()
+    try:
+        # threads other tests leave may end meanwhile, but none may start
+        threads = set(threading.enumerate())
+        peers = [live_peer(server.address, cid)
+                 for cid in ("alice", "bob", "carol", "dave", "erin")]
+        assert set(threading.enumerate()) <= threads
+    finally:
+        server.shutdown()
+    thread.join(timeout=2)
+    assert not thread.is_alive()
+    for peer in peers:
+        assert peer.stream.recv(timeout=2) is None
+        peer.stream.close()
+
+
+def ledger_now(stream: FrameStream, timeout: float) -> int:
+    """The hosted ledger's clock, read through one LEDGER_OP."""
+    stream.send(WireMessage("LEDGER_OP", {"ledger_id": "L1", "op": "meta", "args": {}}))
+    reply = stream.recv(timeout=timeout)
+    assert reply.kind == "LEDGER_RESULT"
+    return reply.body["result"]["now"]
+
+
+def test_a_peer_that_stops_reading_does_not_stall_the_daemon():
+    server = start_hub()
+    try:
+        alice, bob = (live_peer(server.address, cid) for cid in ("alice", "bob"))
+        # bob reads nothing more, and alice sends him more than the daemon
+        # keeps for a peer, on top of what the sockets' buffers hold
+        padding = "x" * 200_000
+        for n in range(MAX_BACKLOG // len(padding) + 40):
+            alice.stream.send(WireMessage("PROPOSAL_RELAY", {
+                "payment_id": f"p{n}", "to": "bob", "amount": 5,
+                "expiry_delta": 100, "padding": padding}))
+        carol = FrameStream(socket.create_connection(server.address, timeout=10))
+        before = ledger_now(carol, timeout=1)
+        time.sleep(0.2)
+        assert ledger_now(carol, timeout=1) > before  # the ticks go on
+        ledger_now(alice.stream, timeout=5)
+        with server.lock:
+            assert "bob" not in server.connections
+        for stream in (alice.stream, bob.stream, carol):
+            stream.close()
+    finally:
+        server.shutdown()
+
+
+def test_an_answer_too_large_for_a_frame_drops_only_its_sender(monkeypatch):
+    monkeypatch.setattr(wire, "MAX_FRAME", 4096)
+    server = start_hub()
+    try:
+        alice, bob = (live_peer(server.address, cid) for cid in ("alice", "bob"))
+        relay = {"payment_id": "p1", "to": "bob", "amount": 5, "expiry_delta": 100,
+                 "padding": ""}
+        # a whole frame, which the relay's "from" makes too large for one
+        relay["padding"] = "x" * (wire.MAX_FRAME
+                                  - len(WireMessage("PROPOSAL_RELAY", relay).to_bytes()))
+        alice.stream.send(WireMessage("PROPOSAL_RELAY", relay))
+        assert alice.stream.recv(timeout=5) is None
+        ledger_now(bob.stream, timeout=5)
+        for peer in (alice, bob):
+            peer.stream.close()
+    finally:
+        server.shutdown()
+
+
 # -- persistence and disputes over sockets -------------------------------------------
 
 def test_daemon_journal_is_checkpointed_and_recovers(monkeypatch):
@@ -585,8 +667,8 @@ def test_admin_snapshot_file_is_replaced_whole(tmp_path, monkeypatch):
             raise OSError("no space left on device")
         with monkeypatch.context() as patch:
             patch.setattr(json, "dump", torn_dump)
-            # the daemon drops the connection
-            assert admin(server, {"cmd": "snapshot"}) is None
+            assert admin(server, {"cmd": "snapshot"}) == {
+                "ok": False, "error": "IOError", "detail": "no space left on device"}
         assert json.loads(path.read_text()) == written
 
         server.snapshot_path = None
