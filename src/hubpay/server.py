@@ -6,11 +6,14 @@ connection once, hands the hub all whole frames in arrival order and ends
 the delivery batch once for all connections; the same thread ticks. The
 ledgers thus keep their single writer. The sockets are non-blocking; what
 a peer does not read waits in its connection's backlog, and a peer whose
-backlog outgrows ``MAX_BACKLOG`` is dropped. The first hello on a connection
-binds it to one client, and every later protocol frame on it is that
-client's. Wallets reach their ledger through LEDGER_OP frames, whose
-arguments ``LEDGER_OPS`` declares once, and mirror it locally from the event
-log; ``SocketWallet`` is the one loop that drives a wallet over a socket.
+backlog outgrows ``MAX_BACKLOG`` is dropped. An unexpected error while
+handling one connection's frames drops that connection only; one while
+ending a batch or ticking is logged, and the loop goes on. The first hello
+on a connection binds it to one client, and every later protocol frame on
+it is that client's. Wallets reach their ledger through LEDGER_OP frames,
+whose arguments ``LEDGER_OPS`` declares once, and mirror it locally from the
+event log; ``SocketWallet`` is the one loop that drives a wallet over a
+socket.
 Every connection, on both ends, is a ``FrameStream``, which turns Nagle's
 algorithm off, so a small frame leaves at once instead of waiting for the
 peer's delayed acknowledgement.
@@ -19,6 +22,7 @@ peer's delayed acknowledgement.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import selectors
 import socket
@@ -51,6 +55,8 @@ REPLY_TIMEOUT_S = 10.0  # how long a wallet waits on the hub for a ledger result
 # bytes a connection may leave unread before the daemon drops it: one whole
 # frame of the largest size, so a snapshot reply always fits
 MAX_BACKLOG = 4 + MAX_FRAME
+
+_log = logging.getLogger(__name__)
 
 
 # -- ledger ops: one wire form per argument ---------------------------------------
@@ -153,10 +159,16 @@ class HubServer:
                                 self._unwritten.add(key.data)
                             if events & selectors.EVENT_READ:
                                 self._read(key.data, now)
-                    self._deliver(self.hub.flush_receipts(now))
+                    try:
+                        self._deliver(self.hub.flush_receipts(now))
+                    except Exception:
+                        _log.exception("ending the delivery batch failed")
                     self._send()
                 if time.monotonic() >= next_tick:
-                    self.tick()
+                    try:
+                        self.tick()
+                    except Exception:
+                        _log.exception("tick failed")
                     next_tick = time.monotonic() + self.tick_seconds
         finally:
             with self.lock:
@@ -196,10 +208,10 @@ class HubServer:
     def _accept(self) -> None:
         try:
             conn, _ = self.sock.accept()
+            conn.setblocking(False)
+            stream = FrameStream(conn)
         except OSError:
             return  # shut down, or the peer left before it was accepted
-        conn.setblocking(False)
-        stream = FrameStream(conn)
         self._clients[stream] = None
         self._selector.register(conn, selectors.EVENT_READ, stream)
 
@@ -219,6 +231,11 @@ class HubServer:
         except (OSError, EncodingError):
             # the peer left, sent bytes that are not frames, or drew an
             # answer too large for one
+            messages = None
+        except Exception:
+            # a fault while handling one peer's frames ends its connection,
+            # not the daemon
+            _log.exception("dropping a connection after an unexpected error")
             messages = None
         if messages is None:
             self._drop(stream)

@@ -545,11 +545,12 @@ def test_frame_stream_over_a_local_socket_pair():
 def test_connections_add_no_threads_and_shutdown_ends_everything():
     server = new_hub(tick_seconds=3600)
     thread = server.start_background()
+    peers = []
     try:
         # threads other tests leave may end meanwhile, but none may start
         threads = set(threading.enumerate())
-        peers = [live_peer(server.address, cid)
-                 for cid in ("alice", "bob", "carol", "dave", "erin")]
+        for cid in ("alice", "bob", "carol", "dave", "erin"):
+            peers.append(live_peer(server.address, cid))
         assert set(threading.enumerate()) <= threads
     finally:
         server.shutdown()
@@ -588,6 +589,48 @@ def test_a_peer_that_stops_reading_does_not_stall_the_daemon():
             assert "bob" not in server.connections
         for stream in (alice.stream, bob.stream, carol):
             stream.close()
+    finally:
+        server.shutdown()
+
+
+@pytest.mark.parametrize("frame", [
+    # int() of an infinite number raises OverflowError, which no decoder
+    # expects: in the daemon's own ledger-op code and in the hub core
+    WireMessage("LEDGER_OP", {"ledger_id": "L1", "op": "events_since",
+                              "args": {"seq": float("inf")}}),
+    WireMessage("PROMISE", {"payment_id": "p1", "promise": {
+        "channel_id": "c1", "sender": "alice", "index": 0, "amount": float("inf")}}),
+], ids=["ledger-op", "protocol"])
+def test_an_unexpected_error_drops_only_the_connection_that_drew_it(frame):
+    server = start_hub()
+    try:
+        alice, bob = (live_peer(server.address, cid) for cid in ("alice", "bob"))
+        alice.stream.send(frame)  # json writes the number as Infinity
+        assert alice.stream.recv(timeout=5) is None
+        before = ledger_now(bob.stream, timeout=5)
+        time.sleep(0.2)
+        assert ledger_now(bob.stream, timeout=5) > before  # the ticks go on
+        for peer in (alice, bob):
+            peer.stream.close()
+    finally:
+        server.shutdown()
+
+
+def test_a_failing_batch_end_or_tick_does_not_end_the_daemon(monkeypatch):
+    server = new_hub()
+
+    def broken(*args):
+        raise RuntimeError("broken")
+    monkeypatch.setattr(server.hub, "flush_receipts", broken)
+    monkeypatch.setattr(server.hub, "hub_tick", broken)
+    thread = server.start_background()
+    try:
+        alice = live_peer(server.address, "alice")
+        before = ledger_now(alice.stream, timeout=5)
+        time.sleep(0.2)
+        assert ledger_now(alice.stream, timeout=5) > before
+        assert thread.is_alive()
+        alice.stream.close()
     finally:
         server.shutdown()
 
