@@ -27,9 +27,10 @@ Outbox = list[tuple[str, WireMessage]]
 class ScriptedHub(HubCore):
     """A hub that misbehaves as its ``behaviors`` direct."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, behaviors=(), **kwargs):
         super().__init__(*args, **kwargs)
-        self.behaviors: set[str] = set()
+        # given here too, so a recovered hub replays its journal as it ran
+        self.behaviors: set[str] = set(behaviors)
         self.attacks_done: set[str] = set()
         # the first receipt this hub issued on each channel, by channel id;
         # a restarted hub starts with none
@@ -46,7 +47,8 @@ class ScriptedHub(HubCore):
         outgoing = Promise(out_state.params.channel_id, self.config.hub_id,
                            out_state.next_out_index, amount, incoming.hashlock, expiry)
         out_state.next_out_index += 1
-        return seal_promises([outgoing], self.sk_for(out_state.params.ledger_id))[0]
+        return seal_promises([outgoing], self.sk_for(out_state.params.ledger_id),
+                             self.signer)[0]
 
     def _should_send_receipt(self) -> bool:
         return "WITHHOLD_RECEIPT" not in self.behaviors

@@ -68,15 +68,16 @@ def close_balances(state: "ChannelState") -> dict[str, int]:
     return {state.owner: mine, state.params.other_party(state.owner): total - mine}
 
 
-def seal_promises(batch: list[Promise], sk: PrivateKey) -> list[Promise]:
+def seal_promises(batch: list[Promise], sk: PrivateKey, signer=crypto) -> list[Promise]:
     """Sign ``batch`` with one signature over the Merkle root of its leaf
     hashes; each returned promise carries its audit path to that root, and
-    a batch of one carries none."""
+    a batch of one carries none. ``signer`` makes the signature (see
+    ``ChannelState.signer``)."""
     if len(batch) == 1:
         [promise] = batch
-        return [promise.with_sig(crypto.sign(sk, codec.TAG_PROMISE_BATCH + promise.leaf_hash))]
+        return [promise.with_sig(signer.sign(sk, codec.TAG_PROMISE_BATCH + promise.leaf_hash))]
     leaves = [p.leaf_hash for p in batch]
-    sig = crypto.sign(sk, codec.TAG_PROMISE_BATCH + merkle_root_of_leaf_hashes(leaves))
+    sig = signer.sign(sk, codec.TAG_PROMISE_BATCH + merkle_root_of_leaf_hashes(leaves))
     return [p.with_sig(sig, path) for p, path in zip(batch, merkle_paths(leaves))]
 
 
@@ -126,8 +127,9 @@ class ChannelState:
     last_receipt_leaves: list[bytes] = field(default_factory=list)
     secrets: dict[bytes, bytes] = field(default_factory=dict)
     # Hashlocks of incoming promises whose secret the owner revealed and for
-    # which no receipt has arrived yet, in reveal order.
-    revealed_unreceipted: list[bytes] = field(default_factory=list)
+    # which no receipt has arrived yet, in reveal order: an insertion-ordered
+    # dict (values unused), so adding and removing one costs O(1).
+    revealed_unreceipted: dict[bytes, None] = field(default_factory=dict)
     next_out_index: int = 1
     next_receipt_index: int = 1
     highest_in_index: int = 0
@@ -140,6 +142,11 @@ class ChannelState:
     # the last incoming batch whose signature verified; not persisted, so a
     # restarted party verifies each batch once more
     verified_batch: PromiseBatch | None = field(default=None, repr=False, compare=False)
+    # Where the state's signatures and signature checks go: anything with
+    # the ``sign(sk, message)`` and ``verify(pk, message, sig)`` of the
+    # crypto module, which is the default. The hub passes its journal's
+    # recorder (``hub.StepCrypto``). Not persisted.
+    signer: object = field(default=crypto, repr=False, compare=False)
 
     # -- accounting ---------------------------------------------------------
 
@@ -199,8 +206,8 @@ class ChannelState:
         if hashlock not in self.pending_in:
             raise UnknownPromise(hashlock.hex())
         preimage = self.secrets[hashlock]
-        if hashlock not in self.revealed_unreceipted:
-            self.revealed_unreceipted.append(hashlock)
+        # a second reveal keeps the first one's place
+        self.revealed_unreceipted[hashlock] = None
         return SecretMessage(self.params.channel_id, hashlock, preimage)
 
     # -- payer side: promises ------------------------------------------------
@@ -248,7 +255,7 @@ class ChannelState:
     def _seal(self, batch: list[Promise], sk: PrivateKey) -> list[Promise]:
         if not batch:
             return []
-        sealed = seal_promises(batch, sk)
+        sealed = seal_promises(batch, sk, self.signer)
         for promise in sealed:
             # the books keep the signature but not the path
             self.pending_out[promise.hashlock] = (
@@ -259,7 +266,8 @@ class ChannelState:
         """None when acceptable, otherwise a reject reason string."""
         if p.channel_id != self.params.channel_id or p.sender != self.peer:
             return REJECT_BAD_SIGNATURE
-        batch = authentic_batch(self.params.party_pk(p.sender), p, self.verified_batch)
+        batch = authentic_batch(self.params.party_pk(p.sender), p, self.verified_batch,
+                                self.signer)
         if batch is None:
             return REJECT_BAD_SIGNATURE
         self.verified_batch = batch
@@ -347,7 +355,7 @@ class ChannelState:
             cumulative_credit=self.credit_sent,
             pending_root=root,
         )
-        receipt = receipt.with_sig(crypto.sign(sk, receipt.signing_bytes))
+        receipt = receipt.with_sig(self.signer.sign(sk, receipt.signing_bytes))
         self.last_receipt_sent = receipt
         return receipt
 
@@ -362,7 +370,7 @@ class ChannelState:
         """None when acceptable, otherwise a reject reason string."""
         if r.channel_id != self.params.channel_id or r.issuer != self.peer:
             return REJECT_BAD_SIGNATURE
-        if r.issuer_sig is None or not crypto.verify(
+        if r.issuer_sig is None or not self.signer.verify(
                 self.params.party_pk(r.issuer), r.signing_bytes, r.issuer_sig):
             return REJECT_BAD_SIGNATURE
         last_index = self.last_receipt_received.index if self.last_receipt_received else 0
@@ -405,7 +413,7 @@ class ChannelState:
         assert covered is not None, "apply_receipt requires a verified receipt"
         for hashlock in covered:
             self.pending_in.pop(hashlock, None)
-            self.revealed_unreceipted.remove(hashlock)
+            del self.revealed_unreceipted[hashlock]
             self.resolved_in.add(hashlock)
         self.credit_received = r.cumulative_credit
         self.last_receipt_received = r
@@ -446,8 +454,7 @@ class ChannelState:
         for hashlock in [h for h, p in self.pending_in.items() if p.expiry <= now]:
             promise = self.pending_in.pop(hashlock)
             dropped.append(promise)
-            if hashlock in self.revealed_unreceipted:
-                self.revealed_unreceipted.remove(hashlock)
+            self.revealed_unreceipted.pop(hashlock, None)
         return dropped
 
     def note_peer_claimed(self, hashlock: bytes, amount: int) -> None:
@@ -468,8 +475,7 @@ class ChannelState:
             return
         self.pending_in.pop(hashlock, None)
         self.claimed_in[hashlock] = 0 if hashlock in self.resolved_in else amount
-        if hashlock in self.revealed_unreceipted:
-            self.revealed_unreceipted.remove(hashlock)
+        self.revealed_unreceipted.pop(hashlock, None)
         self.in_frozen = True
 
     # -- serialization --------------------------------------------------------
@@ -520,7 +526,8 @@ class ChannelState:
             state.last_receipt_received = Receipt.from_jsonable(obj["last_receipt_received"])
         state.last_receipt_leaves = [bytes.fromhex(s) for s in obj["last_receipt_leaves"]]
         state.secrets = {bytes.fromhex(h): bytes.fromhex(s) for h, s in obj["secrets"].items()}
-        state.revealed_unreceipted = [bytes.fromhex(h) for h in obj["revealed_unreceipted"]]
+        state.revealed_unreceipted = dict.fromkeys(
+            bytes.fromhex(h) for h in obj["revealed_unreceipted"])
         state.next_out_index = int(obj["next_out_index"])
         state.next_receipt_index = int(obj["next_receipt_index"])
         state.highest_in_index = int(obj["highest_in_index"])

@@ -2,9 +2,10 @@
 
 Every signable or replayable message is serialized as a 4-byte ASCII domain
 tag followed by key-sorted minified JSON. Byte fields become lowercase hex
-strings, amounts and ticks stay base-10 integers. Two logically identical
-messages encode to identical bytes on any implementation, which is what
-makes signatures and golden vectors well defined.
+strings, amounts and ticks stay base-10 integers, and no other kind of
+number is accepted. Two logically identical messages encode to identical
+bytes on any implementation, which is what makes signatures and golden
+vectors well defined.
 """
 
 from __future__ import annotations
@@ -48,8 +49,18 @@ def _hex_bytes(value: Any) -> str:
 
 def canonical_json(fields: Mapping[str, Any]) -> bytes:
     """Key-sorted minified JSON bytes for ``fields``; bytes become hex."""
-    return json.dumps(fields, sort_keys=True, separators=(",", ":"),
+    return json.dumps(fields, sort_keys=True, separators=(",", ":"), allow_nan=False,
                       default=_hex_bytes).encode("ascii")
+
+
+def _refuse_non_integer(text: str):
+    raise EncodingError(f"non-integer number {text}")
+
+
+# The protocol's numbers are integers: a fraction, exponent, NaN or
+# Infinity is refused as it is parsed.
+_DECODER = json.JSONDecoder(parse_float=_refuse_non_integer,
+                            parse_constant=_refuse_non_integer)
 
 
 def canonical_encode(tag: bytes, fields: Mapping[str, Any]) -> bytes:
@@ -67,7 +78,7 @@ def canonical_decode(blob: bytes) -> tuple[bytes, dict]:
     if tag not in KNOWN_TAGS:
         raise EncodingError(f"unknown domain tag {tag!r}")
     try:
-        fields = json.loads(body.decode("ascii"))
+        fields = _DECODER.decode(body.decode("ascii"))
     except Exception as exc:
         raise EncodingError(f"bad canonical body: {exc}") from exc
     if not isinstance(fields, dict):

@@ -136,9 +136,11 @@ class ScenarioError(HubpayError):
 
 
 # What decoding a malformed wire body raises: a missing key or index, a
-# wrong type, a bad number or hex string. The hub and its daemon answer a
-# body that raises one of these with an EncodingError.
-DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError)
+# wrong type, a bad number or hex string, a number too large to convert.
+# The hub and its daemon answer a body that raises one of these with an
+# EncodingError.
+DECODE_ERRORS = (KeyError, IndexError, TypeError, ValueError, AttributeError,
+                 OverflowError)
 
 
 # Reject reasons returned (not raised) by the verify_* operations.

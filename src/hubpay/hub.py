@@ -17,7 +17,7 @@ from functools import partial
 
 from . import crypto, watchdog
 from .channel import ChannelState, close_balances
-from .crypto import PrivateKey, PublicKey, generate_keypair
+from .crypto import PrivateKey, PublicKey, Signature, generate_keypair
 from .errors import DECODE_ERRORS, HubpayError, RecoveryError
 from .ledger import EV_CLOSED, STATUS_OPEN, Ledger
 from .messages import (
@@ -55,6 +55,10 @@ TERMINAL_ROUTES = {ROUTE_SETTLED_OUT, ROUTE_SETTLED_IN, ROUTE_EXPIRED}
 # route if that is more, so the checkpoint's O(state) cost per entry stays
 # constant however long the hub runs
 CHECKPOINT_FLOOR = 1024
+
+# The message kinds whose handlers can change hub state, and so are
+# journaled; a proposal relay only passes its body on
+JOURNALED_KINDS = frozenset({K_REGISTER, K_PROMISE, K_SECRET, K_RECEIPT, K_CLOSE_REQUEST})
 
 
 @dataclass
@@ -129,8 +133,19 @@ class RouteContext:
 class HubStore:
     """Persistence backend: latest snapshot plus the journal since it.
 
-    The hub checkpoints into it by itself (see ``HubCore._journal``), so the
+    The hub checkpoints into it by itself (see ``HubCore._step``), so the
     journal never holds more than ``max(CHECKPOINT_FLOOR, routes)`` entries.
+
+    An entry is one step of the hub: ``{"t": "msg", "now", "src", "kind",
+    "body"}`` for a message of a kind in ``JOURNALED_KINDS``, ``{"t":
+    "tick", "now"}`` or ``{"t": "flush", "now"}``. It also holds what the
+    step's signature calls returned (see ``StepCrypto``): under ``"sigs"``
+    every signature the hub made, as hex in call order, and under ``"bad"``
+    the ordinal within the step of every signature check that failed. A
+    tick also holds what replay cannot learn from the ledgers' final logs:
+    under ``"polled"`` how many events it took from each ledger, and under
+    ``"finalized"`` the channels whose settlement it submitted. Each of
+    these keys is left out when empty.
     """
 
     def __init__(self):
@@ -143,6 +158,87 @@ class HubStore:
     def set_snapshot(self, snap: dict) -> None:
         self.snapshot = snap
         self.journal = []
+
+
+class StepCrypto:
+    """The signer of the hub's channels (``ChannelState.signer``): it keeps
+    the crypto results of each journaled step in the step's entry, so that
+    replay repeats no signature and no check.
+
+    Live, ``sign`` calls ``crypto.sign`` and appends the signature to the
+    entry's ``"sigs"``; ``verify`` calls ``crypto.verify`` and appends the
+    ordinal of a check that fails to ``"bad"``. Replaying the entry hands
+    back its signatures in order and fails exactly its ``"bad"`` checks,
+    calling no crypto. A replay that does not use each recorded signature
+    exactly once, or never reaches a recorded failure, raises
+    ``RecoveryError``. Outside a step (a scripted hub's attacks) calls go
+    straight to crypto.
+
+    A recovered hub has no cached batch (``ChannelState.verified_batch``),
+    so replay may check a promise the live hub passed on its cache. That
+    check passes, and as a step checks one signature at most, the ordinals
+    of failed checks still match.
+    """
+
+    __slots__ = ("entry", "replaying", "signed", "checked")
+
+    def __init__(self):
+        self.entry: dict | None = None
+        self.replaying = False
+        self.signed = self.checked = 0
+
+    def begin(self, entry: dict, replaying: bool) -> None:
+        self.entry, self.replaying = entry, replaying
+        self.signed = self.checked = 0
+
+    def abort(self) -> None:
+        self.entry = None
+
+    def end(self) -> None:
+        entry, self.entry = self.entry, None
+        if not self.replaying:
+            return
+        recorded = len(entry.get("sigs", ()))
+        if self.signed != recorded:
+            raise RecoveryError(f"{_step_name(entry)} recorded {recorded} signatures, "
+                                f"replay made {self.signed}")
+        if any(ordinal >= self.checked for ordinal in entry.get("bad", ())):
+            raise RecoveryError(f"{_step_name(entry)} recorded a failed check "
+                                f"that replay never made")
+
+    def sign(self, sk: PrivateKey, message: bytes) -> Signature:
+        entry = self.entry
+        if entry is None:
+            return crypto.sign(sk, message)
+        if self.replaying:
+            # past the recorded signatures, replay has diverged: ``end`` says
+            # so, as an error raised here could be taken for a refused frame
+            sigs = entry.get("sigs", ())
+            data = bytes.fromhex(sigs[self.signed]) if self.signed < len(sigs) else b""
+            sig = Signature(sk.scheme, data)
+        else:
+            sig = crypto.sign(sk, message)
+            entry.setdefault("sigs", []).append(sig.data.hex())
+        self.signed += 1
+        return sig
+
+    def verify(self, pk: PublicKey, message: bytes, sig: Signature) -> bool:
+        entry = self.entry
+        if entry is None:
+            return crypto.verify(pk, message, sig)
+        ordinal = self.checked
+        self.checked += 1
+        if self.replaying:
+            return ordinal not in entry.get("bad", ())
+        if crypto.verify(pk, message, sig):
+            return True
+        entry.setdefault("bad", []).append(ordinal)
+        return False
+
+
+def _step_name(entry: dict) -> str:
+    kind = f" {entry['kind']}" if entry["t"] == "msg" else ""
+    return f"journal entry {entry['t']}{kind} at {entry['now']}"
 
 
 class HubCore:
@@ -182,6 +278,7 @@ class HubCore:
         self.promises_unsealed: set[str] = set()
         self.trace: list[dict] = []
         self.replaying = False
+        self.signer = StepCrypto()
         self._tick_outbox: list[tuple[str, WireMessage]] = []
         self._handlers = {
             K_REGISTER: self._on_register,
@@ -211,15 +308,33 @@ class HubCore:
             return None
         return self.channels.get(reg.channel_id)
 
-    def _journal(self, entry: dict) -> None:
-        """Log an input before it changes any state. A full journal is first
-        checkpointed, so the snapshot holds exactly the state after the
-        entries it replaces."""
-        if self.replaying:
-            return
-        if len(self.store.journal) >= max(CHECKPOINT_FLOOR, len(self.routes)):
-            self.snapshot_now()
-        self.store.append(entry)
+    def _step(self, entry: dict) -> list[tuple[str, WireMessage]]:
+        """Run one journaled step. Live, its entry is logged before the step
+        changes any state, and collects the step's signatures and failed
+        checks; replay passes in the logged entry, whose records stand in
+        for crypto. A full journal is first checkpointed, so the snapshot
+        holds exactly the state after the entries it replaces."""
+        if not self.replaying:
+            if len(self.store.journal) >= max(CHECKPOINT_FLOOR, len(self.routes)):
+                self.snapshot_now()
+            self.store.append(entry)
+        self.signer.begin(entry, self.replaying)
+        try:
+            step = entry["t"]
+            if step == "msg":
+                outbox = self._answer(entry["src"], entry["kind"], entry["body"],
+                                      entry["now"])
+            elif step == "tick":
+                outbox = self._tick(entry)
+            elif step == "flush":
+                outbox = self._end_batch()
+            else:
+                raise RecoveryError(f"unknown journal entry {entry!r}")
+        except BaseException:
+            self.signer.abort()
+            raise
+        self.signer.end()
+        return outbox
 
     def _ledger_call(self, fn, *args, **kwargs):
         """Submit a ledger operation unless replaying the journal (the live
@@ -231,19 +346,24 @@ class HubCore:
     # -- message handling ---------------------------------------------------------
 
     def handle_message(self, src: str, msg: WireMessage, now: int) -> list[tuple[str, WireMessage]]:
-        self._journal({"t": "msg", "now": now, "src": src,
-                       "kind": msg.kind, "body": msg.body})
-        handler = self._handlers.get(msg.kind)
+        if msg.kind not in JOURNALED_KINDS:
+            return self._answer(src, msg.kind, msg.body, now)
+        return self._step({"t": "msg", "now": now, "src": src,
+                           "kind": msg.kind, "body": msg.body})
+
+    def _answer(self, src: str, kind: str, body: dict,
+                now: int) -> list[tuple[str, WireMessage]]:
+        handler = self._handlers.get(kind)
         if handler is None:
-            return [(src, error_message("EncodingError", f"unhandled kind {msg.kind}"))]
+            return [(src, error_message("EncodingError", f"unhandled kind {kind}"))]
         try:
-            return handler(src, msg.body, now)
+            return handler(src, body, now)
         except HubpayError as exc:
             code, detail = exc.code, exc.detail
         except DECODE_ERRORS as exc:
             # a malformed body; replaying its journal entry answers the same
-            code, detail = "EncodingError", f"malformed {msg.kind}: {exc!r}"
-        return [(src, error_message(code, detail, payment_id=msg.body.get("payment_id")))]
+            code, detail = "EncodingError", f"malformed {kind}: {exc!r}"
+        return [(src, error_message(code, detail, payment_id=body.get("payment_id")))]
 
     def _on_register(self, src: str, body: dict, now: int) -> list[tuple[str, WireMessage]]:
         client_id = body["client_id"]
@@ -280,7 +400,8 @@ class HubCore:
             self._ledger_call(ledger.deposit, channel_id, self.config.hub_id,
                               self.config.channel_float)
         self.registry[client_id] = Registration(client_id, ledger_id, mode, channel_id)
-        self.channels[channel_id] = ChannelState(params=params, owner=self.config.hub_id)
+        self.channels[channel_id] = ChannelState(params=params, owner=self.config.hub_id,
+                                                 signer=self.signer)
         self._note("register", client=client_id, channel=channel_id)
         return [(src, WireMessage(K_REGISTER_OK, {
             "channel_id": channel_id,
@@ -439,8 +560,7 @@ class HubCore:
         """
         if not self.receipts_owed and not self.promises_unsealed:
             return []
-        self._journal({"t": "flush", "now": now})
-        return self._end_batch()
+        return self._step({"t": "flush", "now": now})
 
     def _end_batch(self) -> list[tuple[str, WireMessage]]:
         """The batch's sealed promises go out before its receipts, whose
@@ -503,13 +623,13 @@ class HubCore:
         if state is None or reg is None or reg.channel_id != channel_id:
             return [(src, error_message("NotFound", channel_id))]
         record = ClosingRecord.from_jsonable(body["record"])
-        client_sig = crypto.Signature(state.params.scheme, bytes.fromhex(body["sig"]))
-        if not crypto.verify(state.params.client_pk, record.signing_bytes, client_sig):
+        client_sig = Signature(state.params.scheme, bytes.fromhex(body["sig"]))
+        if not self.signer.verify(state.params.client_pk, record.signing_bytes, client_sig):
             return [(src, error_message("BadSignature", "closing record signature"))]
         if not self._accept_close(src, state, record.balance_map, now):
             return [(src, error_message("ParamsMismatch", "balance disagreement"))]
         ledger = self.ledgers[state.params.ledger_id]
-        hub_sig = crypto.sign(self.sk_for(state.params.ledger_id), record.signing_bytes)
+        hub_sig = self.signer.sign(self.sk_for(state.params.ledger_id), record.signing_bytes)
         try:
             settlement = self._ledger_call(
                 ledger.cooperative_close, channel_id, record,
@@ -530,28 +650,43 @@ class HubCore:
         last, seal the promises and sign the receipts the tick's delivery
         batch left. The receipts' roots then omit the promises this tick
         expired, as the payees' books will when the receipts arrive."""
-        self._journal({"t": "tick", "now": now})
+        return self._step({"t": "tick", "now": now})
+
+    def _tick(self, entry: dict) -> list[tuple[str, WireMessage]]:
+        now = entry["now"]
         self._tick_outbox: list[tuple[str, WireMessage]] = []
-        self._poll_ledgers(now)
+        self._poll_ledgers(entry)
         self._claim_endangered_routes(now)
         self._sweep_expired(now)
-        self._progress_disputes(now)
+        self._progress_disputes(entry)
         if self.receipts_owed or self.promises_unsealed:
             self._tick_outbox.extend(self._end_batch())
         return self._tick_outbox
 
-    def _poll_ledgers(self, now: int) -> None:
+    def _poll_ledgers(self, entry: dict) -> None:
+        """React to each ledger's events up to the current tick. The tick's
+        own submissions (claims, dispute answers, settlements) add events
+        at the same tick, which the live hub sees at its next poll; so the
+        entry records under ``"polled"`` how many events the live poll took
+        from each ledger, and replay, which reads the whole log, takes as
+        many."""
+        now = entry["now"]
         for ledger_id in sorted(self.ledgers):
             ledger = self.ledgers[ledger_id]
             events = ledger.events_since(self.cursors[ledger_id])
-            # consume only up to the current tick so that journal replay,
-            # which runs against an already-written log, observes events at
-            # the same point in time the live hub did
-            take = 0
-            for event in events:
-                if event.at > now:
-                    break
-                take += 1
+            if self.replaying:
+                take = entry.get("polled", {}).get(ledger_id, 0)
+                if take > len(events):
+                    raise RecoveryError(f"{_step_name(entry)} polled {take} events "
+                                        f"of {ledger_id}, the log holds {len(events)}")
+            else:
+                take = 0
+                for event in events:
+                    if event.at > now:
+                        break
+                    take += 1
+                if take:
+                    entry.setdefault("polled", {})[ledger_id] = take
             events = events[:take]
             self.cursors[ledger_id] += take
             for event in events:
@@ -633,16 +768,21 @@ class HubCore:
                 self._route_done(ctx, ROUTE_EXPIRED)
                 self._note("route_lost", payment=ctx.payment_id)
 
-    def _progress_disputes(self, now: int) -> None:
+    def _progress_disputes(self, entry: dict) -> None:
+        """Settle each disputed channel whose window has passed. Replay
+        suppresses the ledger call, so the entry names the channels the
+        live hub settled under ``"finalized"``."""
         if self.replaying:
-            return  # settlements are ledger calls, which replay suppresses
+            self.finalize_submitted.update(entry.get("finalized", ()))
+            return
         for channel_id in sorted(self.channels):
             if channel_id in self.finalize_submitted:
                 continue
             state = self.channels[channel_id]
             if watchdog.finalize_when_due(self.ledgers[state.params.ledger_id], state,
-                                          now, self._note):
+                                          entry["now"], self._note):
                 self.finalize_submitted.add(channel_id)
+                entry.setdefault("finalized", []).append(channel_id)
 
     def initiate_close(self, client_id: str, now: int) -> None:
         """Hub-initiated unilateral close of a client channel."""
@@ -688,6 +828,8 @@ class HubCore:
             self.registry = {cid: Registration(**r) for cid, r in snap["registry"].items()}
             self.channels = {cid: ChannelState.from_jsonable(s)
                              for cid, s in snap["channels"].items()}
+            for state in self.channels.values():
+                state.signer = self.signer
             self.routes = {bytes.fromhex(h): RouteContext.from_jsonable(c, self.channels)
                            for h, c in snap["routes"].items()}
             self.active_routes = {h for h, c in self.routes.items()
@@ -707,32 +849,28 @@ class HubCore:
 
     @classmethod
     def recover(cls, config: HubConfig, ledgers: dict[str, Ledger],
-                store: HubStore) -> "HubCore":
+                store: HubStore, **init) -> "HubCore":
         """Rebuild a hub from its snapshot plus the journal written since.
         The live hub checkpoints whenever its journal reaches
         ``max(CHECKPOINT_FLOOR, len(routes))`` entries, so recovery is a
         snapshot load plus at most that many replayed entries.
 
-        Journal replay re-runs the original handlers with ledger submissions
+        Journal replay re-runs the original steps with ledger submissions
         and outbox delivery suppressed; ledger-derived state is re-learned by
-        polling the (already written) event log.
+        polling the (already written) event log. Replay makes no signature
+        and checks none: each entry hands back the signatures and the failed
+        checks of its live step (see ``StepCrypto``). So the journal is
+        trusted as the snapshot is, whose signatures are not checked again
+        either, and a frame the live hub refused is refused again.
+        ``init`` goes to the constructor of ``cls``.
         """
-        hub = cls(config, ledgers, store=store)
+        hub = cls(config, ledgers, store=store, **init)
         if store.snapshot is not None:
             hub._load_state(store.snapshot)
         hub.replaying = True
         try:
             for entry in store.journal:
-                if entry["t"] == "msg":
-                    hub.handle_message(entry["src"],
-                                       WireMessage(entry["kind"], entry["body"]),
-                                       entry["now"])
-                elif entry["t"] == "tick":
-                    hub.hub_tick(entry["now"])
-                elif entry["t"] == "flush":
-                    hub.flush_receipts(entry["now"])
-                else:
-                    raise RecoveryError(f"unknown journal entry {entry!r}")
+                hub._step(entry)
         except HubpayError:
             raise
         except Exception as exc:

@@ -256,21 +256,22 @@ class Promise:
 PromiseBatch = tuple[bytes, Signature]  # (root, signature) of one sealed batch
 
 
-def authentic_batch(pk: PublicKey, promise: Promise,
-                    known: PromiseBatch | None = None) -> PromiseBatch | None:
+def authentic_batch(pk: PublicKey, promise: Promise, known: PromiseBatch | None = None,
+                    signer=crypto) -> PromiseBatch | None:
     """The one rule for a promise's signature: it must verify under ``pk``
     over ``TAG_PROMISE_BATCH || root``, where ``root`` is the promise's leaf
     folded up through its path. Returns the (root, signature) pair that
     makes the promise authentic, or None. ``known`` is a pair this check
     already accepted under the same key; a promise of that batch costs no
-    second signature check."""
+    second signature check. ``signer.verify`` makes the check (see
+    ``ChannelState.signer``)."""
     if promise.sender_sig is None:
         return None
     root = promise.batch_root()
     if root is None:
         return None
     batch = (root, promise.sender_sig)
-    if batch == known or crypto.verify(pk, codec.TAG_PROMISE_BATCH + root, promise.sender_sig):
+    if batch == known or signer.verify(pk, codec.TAG_PROMISE_BATCH + root, promise.sender_sig):
         return batch
     return None
 

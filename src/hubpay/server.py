@@ -21,6 +21,7 @@ peer's delayed acknowledgement.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -387,13 +388,19 @@ class HubServer:
 
 def _write_durably(path: str, obj: dict) -> None:
     """Write ``obj`` as JSON to a temporary file, sync it and rename it over
-    ``path``, so a crash mid-write leaves the previous file whole."""
+    ``path``, so a crash mid-write leaves the previous file whole and a
+    failed write leaves no temporary file."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 class RemoteLedger:

@@ -136,8 +136,8 @@ class World:
         self.hub_store = HubStore()
         # scripted actors, so behaviours can also be turned on mid-run
         self.hub: ScriptedHub | None = ScriptedHub(self.hub_config, self.ledgers,
-                                                   self.hub_store)
-        self.hub.behaviors.update(hub_cfg.get("behaviors", []))
+                                                   self.hub_store,
+                                                   behaviors=hub_cfg.get("behaviors", []))
         self.wallets: dict[str, ScriptedWallet] = {}
         for client in scenario.get("clients", []):
             config = WalletConfig(
@@ -298,8 +298,9 @@ class World:
             raise ScenarioError("only the hub supports restart")
         if "hub" not in self.crashed:
             return
-        self.hub = ScriptedHub.recover(self.hub_config, self.ledgers, self.hub_store)
-        self.hub.behaviors.update(self.scenario.get("hub", {}).get("behaviors", []))
+        self.hub = ScriptedHub.recover(
+            self.hub_config, self.ledgers, self.hub_store,
+            behaviors=self.scenario.get("hub", {}).get("behaviors", []))
         self.crashed.discard("hub")
         self.trace.append({"t": self.tick, "ev": "note", "actor": "hub",
                            "action": "recovered"})

@@ -388,7 +388,7 @@ def test_one_receipt_resolves_a_batch_of_secrets():
     assert pair.hub.apply_receipt(receipt) == [p.hashlock for p in promises[:3]]
     assert pair.hub.credit_received == 60
     assert list(pair.hub.pending_in) == [promises[3].hashlock]
-    assert pair.hub.revealed_unreceipted == []
+    assert pair.hub.revealed_unreceipted == {}
 
 
 def test_serialized_receipt_needs_its_promise_index():

@@ -111,3 +111,16 @@ def test_decode_garbage_rejected():
         codec.canonical_decode(codec.TAG_PROMISE + b"not json")
     with pytest.raises(EncodingError):
         codec.canonical_decode(codec.TAG_PROMISE + b"[1,2]")
+
+
+@pytest.mark.parametrize("number", ["1e999", "1.5", "1e3", "NaN", "Infinity", "-Infinity"])
+def test_decode_refuses_every_non_integer_number(number):
+    blob = codec.TAG_WIRE + b'{"body":{"amount":%s},"kind":"PROMISE"}' % number.encode()
+    with pytest.raises(EncodingError, match="non-integer number"):
+        codec.canonical_decode(blob)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_encode_refuses_nan_and_infinity(value):
+    with pytest.raises(ValueError):
+        codec.canonical_json({"amount": value})
