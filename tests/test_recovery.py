@@ -51,8 +51,13 @@ def simulated_runs():
 RUNS = dict(simulated_runs())
 
 
+@pytest.mark.parametrize("floor", [None, 8], ids=["whole-journal", "checkpointed"])
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_replay_calls_no_crypto_and_equals_live(name, monkeypatch):
+def test_replay_calls_no_crypto_and_equals_live(name, floor, monkeypatch):
+    if floor is not None:
+        # recovery loads a snapshot, whose channels hold no verified batch,
+        # then replays the tail
+        monkeypatch.setattr("hubpay.hub.CHECKPOINT_FLOOR", floor)
     world = World(RUNS[name])
     crashed = {}
     crash = world._crash
@@ -68,6 +73,7 @@ def test_replay_calls_no_crypto_and_equals_live(name, monkeypatch):
     live = world.hub or crashed["hub"]
     live_json = world.hub.persist_json() if world.hub else crashed["json"]
     assert world.hub_store.journal, "the run journaled nothing"
+    assert (world.hub_store.snapshot is not None) == (floor is not None)
     forbid_crypto(monkeypatch)
     assert recover(live).persist_json() == live_json
 
