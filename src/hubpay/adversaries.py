@@ -32,9 +32,11 @@ class ScriptedHub(HubCore):
         # given here too, so a recovered hub replays its journal as it ran
         self.behaviors: set[str] = set(behaviors)
         self.attacks_done: set[str] = set()
-        # the first receipt this hub issued on each channel, by channel id;
-        # a restarted hub starts with none
+        # the first receipt this hub issued on each channel, by channel id,
+        # and the (incoming, outgoing) promises of each route, by hashlock,
+        # while an attack needs them; a restarted hub starts with none
         self.first_receipts: dict[str, Receipt] = {}
+        self.route_promises: dict[bytes, tuple[Promise, Promise]] = {}
 
     def _forward_promise(self, out_state: ChannelState, incoming: Promise,
                          amount: int, expiry: int, now: int) -> Promise:
@@ -78,10 +80,19 @@ class ScriptedHub(HubCore):
     def attack(self, now: int) -> Outbox:
         """Run the active attacks the behaviours demand; the caller sends
         the returned outbox. Runs every tick, so it also keeps the first
-        receipt issued on each channel for a later stale dispute."""
+        receipt issued on each channel for a later stale dispute and, while
+        a replay or a double claim is wanted, the promises of each route
+        before its books drop them."""
         for channel_id, state in self.channels.items():
             if channel_id not in self.first_receipts and state.last_receipt_sent:
                 self.first_receipts[channel_id] = state.last_receipt_sent
+        if self.behaviors & {"REPLAY_PROMISE", "DOUBLE_CLAIM"}:
+            for hashlock in self.active_routes - self.route_promises.keys():
+                ctx = self.routes[hashlock]
+                incoming = self.channels[ctx.in_channel].pending_in.get(hashlock)
+                outgoing = self.channels[ctx.out_channel].pending_out.get(hashlock)
+                if incoming is not None and outgoing is not None:
+                    self.route_promises[hashlock] = (incoming, outgoing)
         outbox: Outbox = []
         if "REPLAY_PROMISE" in self.behaviors and "replay" not in self.attacks_done:
             outbox += self._replay()
@@ -90,7 +101,7 @@ class ScriptedHub(HubCore):
         return outbox
 
     def _replay(self) -> Outbox:
-        for hashlock in sorted(self.routes):
+        for hashlock in sorted(self.route_promises):
             ctx = self.routes[hashlock]
             if ctx.state == ROUTE_SETTLED_IN:
                 self.attacks_done.add("replay")
@@ -98,20 +109,20 @@ class ScriptedHub(HubCore):
                 self._note("attack_replay", payment=ctx.payment_id)
                 return [(payee, WireMessage(K_PROMISE, {
                     "payment_id": ctx.payment_id,
-                    "promise": ctx.out_promise.to_jsonable(),
+                    "promise": self.route_promises[hashlock][1].to_jsonable(),
                 }))]
         return []
 
     def _double_claim(self) -> None:
         """The hub's incoming credit is already receipted; submit that
         receipt in a dispute and then claim the covered incoming promise."""
-        for hashlock in sorted(self.routes):
+        for hashlock in sorted(self.route_promises):
             ctx = self.routes[hashlock]
             if ctx.state == ROUTE_SETTLED_IN and ctx.preimage is not None:
                 state = self.channels[ctx.in_channel]
                 _claim_covered_promise(self, self.ledgers[state.params.ledger_id], state,
-                                       self.config.hub_id, ctx.in_promise, ctx.preimage,
-                                       ctx.payment_id)
+                                       self.config.hub_id, self.route_promises[hashlock][0],
+                                       ctx.preimage, ctx.payment_id)
                 return
 
 

@@ -18,7 +18,8 @@ pending-promise Merkle root carried in every receipt.
 A sender books a promise unsigned and seals it later, with every other
 unsealed promise of the direction, under one signature over the batch's
 Merkle root (``seal_pending``); each promise on the wire carries its audit
-path. The books keep no paths.
+path. The sender's books keep no paths; the receiver keeps each incoming
+promise with its path, which an on-chain claim needs.
 """
 
 from __future__ import annotations
@@ -215,8 +216,6 @@ class ChannelState:
     def make_promise(self, proposal: PaymentProposal, sk: PrivateKey, now: int) -> Promise:
         """Sender-side: promise the proposal's amount against its hashlock,
         sealed at once as a batch of one."""
-        if proposal.expiry <= now:
-            raise ExpiredProposal(f"expiry {proposal.expiry} <= now {now}")
         promise = self.promise_raw(proposal.amount, proposal.hashlock, proposal.expiry, now)
         return self._seal([promise], sk)[0]
 
@@ -246,6 +245,13 @@ class ChannelState:
         self.pending_out[promise.hashlock] = promise
         self.next_out_index += 1
         return promise
+
+    def holds_unsealed(self) -> bool:
+        """True while a booked outgoing promise awaits ``seal_pending``. A
+        batch is sealed whole and indices only grow, so the newest promise
+        is unsealed whenever any is."""
+        return (bool(self.pending_out)
+                and next(reversed(self.pending_out.values())).sender_sig is None)
 
     def seal_pending(self, sk: PrivateKey) -> list[Promise]:
         """Seal every unsealed outgoing promise as one batch, in index

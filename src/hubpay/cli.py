@@ -171,7 +171,7 @@ class WalletSession:
         try:
             # a receipt still owed goes out now; without it the hub
             # would have to claim the payment on-chain
-            self.peer.send_all(self.wallet.flush_receipts())
+            self.peer.send_all(self.wallet.flush_receipts(self.peer.remote.now))
         except OSError:
             pass
         if self.save:

@@ -86,12 +86,21 @@ class Registration:
 
 @dataclass
 class RouteContext:
+    """One payment routed through the hub: the incoming promise on
+    ``in_channel`` and the hub's forwarded promise on ``out_channel``,
+    both under ``hashlock``. The route keeps only the amounts and expiries
+    it reads; each promise itself is kept once, on its channel's books
+    (``pending_in`` and ``pending_out``) while it is unresolved, and a
+    claim reads it from there."""
+
     payment_id: str
     hashlock: bytes
     in_channel: str
     out_channel: str
-    in_promise: Promise
-    out_promise: Promise
+    in_amount: int
+    in_expiry: int
+    out_amount: int
+    out_expiry: int
     state: str = ROUTE_AWAIT_SECRET
     preimage: bytes | None = None
     claim_submitted: bool = False
@@ -102,28 +111,26 @@ class RouteContext:
             "hashlock": self.hashlock.hex(),
             "in_channel": self.in_channel,
             "out_channel": self.out_channel,
-            "in_promise": self.in_promise.to_jsonable(),
-            "out_promise": self.out_promise.to_jsonable(),
+            "in_amount": self.in_amount,
+            "in_expiry": self.in_expiry,
+            "out_amount": self.out_amount,
+            "out_expiry": self.out_expiry,
             "state": self.state,
             "preimage": self.preimage.hex() if self.preimage else None,
             "claim_submitted": self.claim_submitted,
         }
 
     @classmethod
-    def from_jsonable(cls, obj: dict, channels: dict[str, ChannelState]) -> "RouteContext":
-        """A promise still on its channel's books is the books' object, as
-        it is at run time, not a second parse of the same bytes; so loading
-        costs no more while a payer is slow to send its receipts."""
-        hashlock = bytes.fromhex(obj["hashlock"])
-        in_promise = channels[obj["in_channel"]].pending_in.get(hashlock)
-        out_promise = channels[obj["out_channel"]].pending_out.get(hashlock)
+    def from_jsonable(cls, obj: dict) -> "RouteContext":
         return cls(
             payment_id=obj["payment_id"],
-            hashlock=hashlock,
+            hashlock=bytes.fromhex(obj["hashlock"]),
             in_channel=obj["in_channel"],
             out_channel=obj["out_channel"],
-            in_promise=in_promise or Promise.from_jsonable(obj["in_promise"]),
-            out_promise=out_promise or Promise.from_jsonable(obj["out_promise"]),
+            in_amount=int(obj["in_amount"]),
+            in_expiry=int(obj["in_expiry"]),
+            out_amount=int(obj["out_amount"]),
+            out_expiry=int(obj["out_expiry"]),
             state=obj["state"],
             preimage=bytes.fromhex(obj["preimage"]) if obj["preimage"] else None,
             claim_submitted=bool(obj["claim_submitted"]),
@@ -274,7 +281,7 @@ class HubCore:
         # yet; derived from the channel books, and rebuilt from them on load
         self.receipts_owed: set[str] = set()
         # CONCURRENT channels holding forwarded promises not yet sealed;
-        # derived from the books (an unsigned pending_out entry) on load
+        # derived from the books (``holds_unsealed``) on load
         self.promises_unsealed: set[str] = set()
         self.trace: list[dict] = []
         self.replaying = False
@@ -457,8 +464,10 @@ class HubCore:
             hashlock=promise.hashlock,
             in_channel=in_state.params.channel_id,
             out_channel=out_state.params.channel_id,
-            in_promise=promise,
-            out_promise=outgoing,
+            in_amount=promise.amount,
+            in_expiry=promise.expiry,
+            out_amount=outgoing.amount,
+            out_expiry=outgoing.expiry,
         )
         self.routes[promise.hashlock] = ctx
         self.active_routes.add(promise.hashlock)
@@ -526,7 +535,7 @@ class HubCore:
             return [(src, error_message("Expired", "route expired",
                                         payment_id=payment_id))]
         if ctx.state == ROUTE_AWAIT_SECRET:
-            if now >= ctx.out_promise.expiry:
+            if now >= ctx.out_expiry:
                 return [(src, error_message("Expired", "outgoing promise expired",
                                             payment_id=payment_id))]
             resolved = SecretMessage(ctx.out_channel, secret.hashlock, secret.preimage)
@@ -569,9 +578,7 @@ class HubCore:
         for channel_id in sorted(self.promises_unsealed):
             state = self.channels[channel_id]
             for outgoing in state.seal_pending(self.sk_for(state.params.ledger_id)):
-                ctx = self.routes[outgoing.hashlock]
-                ctx.out_promise = state.pending_out[outgoing.hashlock]
-                outbox.append(self._promise_message(ctx, outgoing))
+                outbox.append(self._promise_message(self.routes[outgoing.hashlock], outgoing))
         self.promises_unsealed.clear()
         for channel_id in sorted(self.receipts_owed):
             state = self.channels[channel_id]
@@ -612,7 +619,7 @@ class HubCore:
             ctx = self.routes.get(hashlock)
             if ctx is not None and ctx.state == ROUTE_SECRET_HELD:
                 self._route_done(ctx, ROUTE_SETTLED_IN)
-                self.fees_accrued += ctx.in_promise.amount - ctx.out_promise.amount
+                self.fees_accrued += ctx.in_amount - ctx.out_amount
                 self._note("settled_in", payment=ctx.payment_id)
         return []
 
@@ -711,7 +718,7 @@ class HubCore:
             if payload["claimant"] == hub_id:
                 if ctx.state == ROUTE_SECRET_HELD:
                     self._route_done(ctx, ROUTE_SETTLED_OUT)
-                    self.fees_accrued += ctx.in_promise.amount - ctx.out_promise.amount
+                    self.fees_accrued += ctx.in_amount - ctx.out_amount
                     self._note("settled_onchain", payment=ctx.payment_id)
             elif ctx.out_channel == channel_id and ctx.state == ROUTE_AWAIT_SECRET:
                 # the payee claimed our outgoing promise on-chain and
@@ -740,17 +747,18 @@ class HubCore:
             ctx = self.routes[hashlock]
             if ctx.state != ROUTE_SECRET_HELD or ctx.claim_submitted:
                 continue
-            if now >= ctx.in_promise.expiry:
-                continue
-            if ctx.in_promise.expiry - now > delta:
+            if now >= ctx.in_expiry or ctx.in_expiry - now > delta:
                 continue
             state = self.channels[ctx.in_channel]
+            promise = state.pending_in.get(hashlock)
+            if promise is None:
+                continue
             ledger = self.ledgers[state.params.ledger_id]
             ctx.claim_submitted = True
             try:
-                self._ledger_call(ledger.claim_promise, ctx.in_channel,
-                                  self.config.hub_id, ctx.in_promise, ctx.preimage,
-                                  watchdog.claim_proof(ledger, state, ctx.in_promise))
+                self._ledger_call(ledger.claim_promise, ctx.in_channel, self.config.hub_id,
+                                  promise, ctx.preimage,
+                                  watchdog.claim_proof(ledger, state, promise))
                 self._note("claimed_incoming", payment=ctx.payment_id,
                            channel=ctx.in_channel)
             except HubpayError as exc:
@@ -761,10 +769,10 @@ class HubCore:
             self.channels[channel_id].expire_pending(now)
         for hashlock in sorted(self.active_routes):
             ctx = self.routes[hashlock]
-            if ctx.state == ROUTE_AWAIT_SECRET and now >= ctx.out_promise.expiry:
+            if ctx.state == ROUTE_AWAIT_SECRET and now >= ctx.out_expiry:
                 self._route_done(ctx, ROUTE_EXPIRED)
                 self._note("route_expired", payment=ctx.payment_id)
-            elif ctx.state == ROUTE_SECRET_HELD and now >= ctx.in_promise.expiry:
+            elif ctx.state == ROUTE_SECRET_HELD and now >= ctx.in_expiry:
                 self._route_done(ctx, ROUTE_EXPIRED)
                 self._note("route_lost", payment=ctx.payment_id)
 
@@ -830,7 +838,7 @@ class HubCore:
                              for cid, s in snap["channels"].items()}
             for state in self.channels.values():
                 state.signer = self.signer
-            self.routes = {bytes.fromhex(h): RouteContext.from_jsonable(c, self.channels)
+            self.routes = {bytes.fromhex(h): RouteContext.from_jsonable(c)
                            for h, c in snap["routes"].items()}
             self.active_routes = {h for h, c in self.routes.items()
                                   if c.state not in TERMINAL_ROUTES}
@@ -841,9 +849,8 @@ class HubCore:
             self.finalize_submitted = set(snap["finalize_submitted"])
             self.receipts_owed = {cid for cid, state in self.channels.items()
                                   if state.receipt_owed()}
-            self.promises_unsealed = {
-                cid for cid, state in self.channels.items()
-                if any(p.sender_sig is None for p in state.pending_out.values())}
+            self.promises_unsealed = {cid for cid, state in self.channels.items()
+                                      if state.holds_unsealed()}
         except (KeyError, ValueError, TypeError, AttributeError) as exc:
             raise RecoveryError(f"corrupt snapshot: {exc}") from exc
 

@@ -47,6 +47,7 @@ from .wire import (
     K_REGISTER,
     K_REGISTER_OK,
     MAX_FRAME,
+    FrameError,
     FrameStream,
     WireMessage,
     error_message,
@@ -217,9 +218,15 @@ class HubServer:
         self._selector.register(conn, selectors.EVENT_READ, stream)
 
     def _read(self, stream: FrameStream, now: int) -> None:
-        """Handle every whole frame of one read from ``stream``."""
+        """Handle every whole frame of one read from ``stream``. A frame
+        that is not canonical drops the connection once the frames before
+        it are handled."""
         try:
-            messages = stream.read()
+            try:
+                messages = stream.read()
+                drop = messages is None  # the peer left
+            except FrameError as exc:
+                messages, drop = exc.frames, True
             for msg in messages or []:
                 if msg.kind == K_LEDGER_OP:
                     self._reply(stream, self._ledger_op(msg.body))
@@ -230,15 +237,14 @@ class HubServer:
         except BlockingIOError:
             return
         except (OSError, EncodingError):
-            # the peer left, sent bytes that are not frames, or drew an
-            # answer too large for one
-            messages = None
+            # the peer left, or drew an answer too large for a frame
+            drop = True
         except Exception:
             # a fault while handling one peer's frames ends its connection,
             # not the daemon
             _log.exception("dropping a connection after an unexpected error")
-            messages = None
-        if messages is None:
+            drop = True
+        if drop:
             self._drop(stream)
 
     def _handle(self, stream: FrameStream, msg: WireMessage, now: int) -> None:
@@ -535,7 +541,7 @@ class SocketWallet:
             self.handle(msg)
             # the rest of the same read joins this batch
             msg = self.stream.recv() if self.stream.buffered() else None
-        self.send_all(self.wallet.flush_receipts())
+        self.send_all(self.wallet.flush_receipts(self.remote.now))
         return True
 
     def tick(self) -> None:

@@ -243,26 +243,57 @@ class WalletCore:
         """Sender path for an out-of-band proposal: skip the relay round trip
         and promise immediately."""
         flow = PaymentFlow(payment_id, "sender", payee, proposal.amount,
-                           proposal.expiry - now, S_REQUESTED, now,
-                           proposal=proposal)
+                           proposal.expiry - now, S_REQUESTED, now)
         self.flows[payment_id] = flow
         self.open_flows.add(payment_id)
-        if not self.verified or self.state is None or not self._contract_open():
+        if not self.verified or self.state is None:
             self._finish(flow, OUT_FAILED, "NotRegistered")
             return []
+        return self._promise(flow, proposal, now)
+
+    def _promise(self, flow: PaymentFlow, proposal: PaymentProposal,
+                 now: int) -> list[tuple[str, WireMessage]]:
+        """The payer's one promise path: book the promise unsealed, and seal
+        and send it at once when no earlier promise is unresolved. Otherwise
+        it is held until the call that ends the batch (``_send_held``)."""
+        flow.proposal = proposal
+        if not self._contract_open():
+            self._finish(flow, OUT_FAILED, "ChannelClosed")
+            return []
         try:
-            promise = self.state.make_promise(proposal, self.sk, now)
+            promise = self.state.promise_raw(proposal.amount, proposal.hashlock,
+                                             proposal.expiry, now)
         except HubpayError as exc:
             self._finish(flow, OUT_FAILED, exc.code)
             return []
         flow.promise = promise
         flow.state = S_PROMISED
-        self.flow_by_hashlock[promise.hashlock] = payment_id
-        return [("hub", WireMessage(K_PROMISE, {
-            "payment_id": payment_id,
-            "payee": payee,
-            "promise": promise.to_jsonable(),
-        }))]
+        self.flow_by_hashlock[promise.hashlock] = flow.payment_id
+        return self._send_held(now) if len(self.state.pending_out) == 1 else []
+
+    def _send_held(self, now: int) -> list[tuple[str, WireMessage]]:
+        """Seal every held promise as one batch and send them in index
+        order. A held promise that has expired, or whose channel is no
+        longer open, is dropped instead and its flow fails."""
+        state = self.state
+        if state is None or not state.holds_unsealed():
+            return []
+        is_open = self._contract_open()
+        for hashlock, promise in list(state.pending_out.items()):
+            if promise.sender_sig is None and (promise.expiry <= now or not is_open):
+                state.drop_promise(hashlock)
+                self._finish(self.flows[self.flow_by_hashlock[hashlock]], OUT_FAILED,
+                             "Timeout" if is_open else "ChannelClosed")
+        outbox = []
+        for promise in state.seal_pending(self.sk):
+            flow = self.flows[self.flow_by_hashlock[promise.hashlock]]
+            flow.promise = promise
+            outbox.append(("hub", WireMessage(K_PROMISE, {
+                "payment_id": flow.payment_id,
+                "payee": flow.counterparty,
+                "promise": promise.to_jsonable(),
+            })))
+        return outbox
 
     def start_close(self, now: int) -> None:
         self.closing = True
@@ -272,6 +303,12 @@ class WalletCore:
     # -- inbound messages ----------------------------------------------------------------
 
     def handle_message(self, src: str, msg: WireMessage, now: int) -> list[tuple[str, WireMessage]]:
+        """Answer one message from the hub, then send the promises held
+        while an earlier one was unresolved: this message may be the
+        answer to it."""
+        return self._answer(msg, now) + self._send_held(now)
+
+    def _answer(self, msg: WireMessage, now: int) -> list[tuple[str, WireMessage]]:
         if msg.kind == K_REGISTER_OK:
             self._on_register_ok(msg.body, now)
             return []
@@ -357,24 +394,7 @@ class WalletCore:
         if proposal.amount != flow.amount or proposal.expiry <= now:
             self._finish(flow, OUT_FAILED, "BadProposal")
             return []
-        if not self._contract_open():
-            self._finish(flow, OUT_FAILED, "ChannelClosed")
-            return []
-        assert self.state is not None
-        try:
-            promise = self.state.make_promise(proposal, self.sk, now)
-        except HubpayError as exc:
-            self._finish(flow, OUT_FAILED, exc.code)
-            return []
-        flow.proposal = proposal
-        flow.promise = promise
-        flow.state = S_PROMISED
-        self.flow_by_hashlock[promise.hashlock] = flow.payment_id
-        return [("hub", WireMessage(K_PROMISE, {
-            "payment_id": flow.payment_id,
-            "payee": flow.counterparty,
-            "promise": promise.to_jsonable(),
-        }))]
+        return self._promise(flow, proposal, now)
 
     # Hooks a scripted adversary overrides (see adversaries.py); each
     # returns the honest answer here.
@@ -455,12 +475,15 @@ class WalletCore:
         receipt = self.state.issue_receipt(self.sk, promise.index)
         return [("hub", receipt_message(receipt, flow.payment_id))]
 
-    def flush_receipts(self) -> list[tuple[str, WireMessage]]:
-        """End of a delivery batch: one receipt for every secret resolved
-        since the last receipt, or nothing when none is owed."""
-        if self.state is None or not self.state.receipt_owed():
-            return []
-        return [("hub", receipt_message(self.state.issue_receipt(self.sk)))]
+    def flush_receipts(self, now: int) -> list[tuple[str, WireMessage]]:
+        """End of a delivery batch: send the held promises (``_send_held``),
+        then one receipt for every secret resolved since the last receipt,
+        or none when none is owed. The promises go first, since the
+        receipt's pending root commits to them."""
+        outbox = self._send_held(now)
+        if self.state is not None and self.state.receipt_owed():
+            outbox.append(("hub", receipt_message(self.state.issue_receipt(self.sk))))
+        return outbox
 
     def _on_receipt(self, body: dict, now: int) -> list[tuple[str, WireMessage]]:
         if self.state is None:
@@ -485,15 +508,16 @@ class WalletCore:
     # -- background event handler -----------------------------------------------------------
 
     def client_tick(self, now: int) -> list[tuple[str, WireMessage]]:
-        """Background handler, run once per tick. Owed receipts are signed
-        after expiry, so their roots omit the promises this tick expired,
-        and before closing, so the hub's books match the close request."""
+        """Background handler, run once per tick. It ends a batch
+        (``flush_receipts``) after expiry, so held promises that expired
+        stay unsent and the receipts' roots omit them, and before closing,
+        so the hub's books match the close request."""
         outbox: list[tuple[str, WireMessage]] = []
         self._poll_events(now)
         if self.state is None:
             return outbox
         self._expire(now)
-        outbox.extend(self.flush_receipts())
+        outbox.extend(self.flush_receipts(now))
         outbox.extend(self._payee_maintenance(now))
         outbox.extend(self.close_messages(now))
         return outbox

@@ -41,6 +41,16 @@ KINDS = {
 MAX_FRAME = 1 << 24  # 16 MiB guardrail
 
 
+class FrameError(EncodingError):
+    """A frame that is not canonical, or whose length is over the limit.
+    ``frames`` holds the whole frames decoded before it, which a reader
+    still handles before it drops the connection."""
+
+    def __init__(self, detail: str, frames: list["WireMessage"]):
+        super().__init__(detail)
+        self.frames = frames
+
+
 @dataclass(frozen=True)
 class WireMessage:
     kind: str
@@ -87,17 +97,21 @@ def encode_frame(msg: WireMessage) -> bytes:
 
 
 def decode_frames(buffer: bytes) -> tuple[list[WireMessage], bytes]:
-    """Pull every complete frame from ``buffer``; returns (messages, rest)."""
+    """Pull every complete frame from ``buffer``; returns (messages, rest).
+    A bad frame raises ``FrameError``, which carries the frames before it."""
     messages = []
     offset = 0  # bytes consumed; the rest is copied once, at the end
     while len(buffer) - offset >= 4:
         (length,) = struct.unpack_from(">I", buffer, offset)
         if length > MAX_FRAME:
-            raise EncodingError(f"frame length {length} exceeds limit")
+            raise FrameError(f"frame length {length} exceeds limit", messages)
         end = offset + 4 + length
         if len(buffer) < end:
             break
-        messages.append(WireMessage.from_bytes(buffer[offset + 4:end]))
+        try:
+            messages.append(WireMessage.from_bytes(buffer[offset + 4:end]))
+        except EncodingError as exc:
+            raise FrameError(exc.detail, messages) from exc
         offset = end
     return messages, buffer[offset:]
 
@@ -171,7 +185,8 @@ class FrameStream:
 
     def read(self) -> list[WireMessage] | None:
         """One read from the socket: the frames it completes, in order, or
-        None once the peer has closed the stream."""
+        None once the peer has closed the stream. A bad frame raises
+        ``FrameError`` with the frames before it."""
         chunk = self.sock.recv(65536)
         if not chunk:
             return None

@@ -24,6 +24,7 @@ from hubpay.server import (
 from hubpay.wallet import WalletConfig
 from hubpay.wire import (
     KINDS,
+    FrameError,
     FrameStream,
     WireMessage,
     decode_frames,
@@ -82,6 +83,14 @@ def test_spec_protocol_kinds_all_present():
 def test_oversize_frame_rejected():
     with pytest.raises(EncodingError):
         decode_frames(struct.pack(">I", 1 << 25) + b"x")
+
+
+def test_a_bad_frame_carries_the_frames_before_it():
+    good = WireMessage("OK", {"n": 1})
+    bad = codec.TAG_WIRE + b'{"body":{"n":1e999},"kind":"OK"}'
+    with pytest.raises(FrameError) as caught:
+        decode_frames(encode_frame(good) + struct.pack(">I", len(bad)) + bad + encode_frame(good))
+    assert caught.value.frames == [good]
 
 
 class ScriptedSocket:
@@ -656,6 +665,22 @@ def test_non_integer_numbers_are_refused_and_recovery_equals_live():
             stream.close()
     finally:
         server.shutdown()
+
+
+def test_frames_before_a_bad_one_count_and_then_the_connection_drops(live_hub):
+    server, _ = live_hub
+    alice, bob = (live_peer(server.address, cid) for cid in ("alice", "bob"))
+    relay = encode_frame(WireMessage("PROPOSAL_RELAY", {
+        "payment_id": "p1", "to": "bob", "amount": 5, "expiry_delta": 100}))
+    bad = codec.TAG_WIRE + b'{"body":{"payment_id":"p2","promise":{"amount":1e999}},' \
+                           b'"kind":"PROMISE"}'
+    # one write: a good frame, then one that is not canonical
+    alice.stream.sock.sendall(relay + struct.pack(">I", len(bad)) + bad)
+    relayed = bob.stream.recv(timeout=5)
+    assert (relayed.kind, relayed.body["payment_id"]) == ("PROPOSAL_RELAY", "p1")
+    assert alice.stream.recv(timeout=5) is None
+    for peer in (alice, bob):
+        peer.stream.close()
 
 
 def test_a_failing_batch_end_or_tick_does_not_end_the_daemon(monkeypatch):
