@@ -118,11 +118,11 @@ class ScriptedHub(HubCore):
         receipt in a dispute and then claim the covered incoming promise."""
         for hashlock in sorted(self.route_promises):
             ctx = self.routes[hashlock]
-            if ctx.state == ROUTE_SETTLED_IN and ctx.preimage is not None:
-                state = self.channels[ctx.in_channel]
+            state = self.channels[ctx.in_channel]
+            if ctx.state == ROUTE_SETTLED_IN and hashlock in state.secrets:
                 _claim_covered_promise(self, self.ledgers[state.params.ledger_id], state,
                                        self.config.hub_id, self.route_promises[hashlock][0],
-                                       ctx.preimage, ctx.payment_id)
+                                       state.secrets[hashlock], ctx.payment_id)
                 return
 
 

@@ -129,8 +129,10 @@ class ChannelState:
     secrets: dict[bytes, bytes] = field(default_factory=dict)
     # Hashlocks of incoming promises whose secret the owner revealed and for
     # which no receipt has arrived yet, in reveal order: an insertion-ordered
-    # dict (values unused), so adding and removing one costs O(1).
-    revealed_unreceipted: dict[bytes, None] = field(default_factory=dict)
+    # dict, so adding and removing one costs O(1). Each maps to the tick the
+    # secret was last sent, or to None once the owner submitted a claim on
+    # the promise (see ``watchdog.tend_revealed``).
+    revealed_unreceipted: dict[bytes, int | None] = field(default_factory=dict)
     next_out_index: int = 1
     next_receipt_index: int = 1
     highest_in_index: int = 0
@@ -140,6 +142,8 @@ class ChannelState:
     resolved_in: set[bytes] = field(default_factory=set)
     out_frozen: bool = False
     in_frozen: bool = False
+    # a dispute was opened on the channel's contract (booked from its events)
+    disputed: bool = False
     # the last incoming batch whose signature verified; not persisted, so a
     # restarted party verifies each batch once more
     verified_batch: PromiseBatch | None = field(default=None, repr=False, compare=False)
@@ -203,12 +207,14 @@ class ChannelState:
         proposal = PaymentProposal(proposal_id, amount, hashlock, expiry, self.owner)
         return proposal, preimage
 
-    def reveal_secret(self, hashlock: bytes) -> SecretMessage:
+    def reveal_secret(self, hashlock: bytes, now: int = 0) -> SecretMessage:
+        """The secret of an incoming promise, booked as sent at ``now``. A
+        second reveal keeps the first one's place, and a claim's mark."""
         if hashlock not in self.pending_in:
             raise UnknownPromise(hashlock.hex())
         preimage = self.secrets[hashlock]
-        # a second reveal keeps the first one's place
-        self.revealed_unreceipted[hashlock] = None
+        if self.revealed_unreceipted.get(hashlock, now) is not None:
+            self.revealed_unreceipted[hashlock] = now
         return SecretMessage(self.params.channel_id, hashlock, preimage)
 
     # -- payer side: promises ------------------------------------------------
@@ -501,7 +507,8 @@ class ChannelState:
                                       if self.last_receipt_received else None),
             "last_receipt_leaves": [leaf.hex() for leaf in self.last_receipt_leaves],
             "secrets": {h.hex(): s.hex() for h, s in self.secrets.items()},
-            "revealed_unreceipted": [h.hex() for h in self.revealed_unreceipted],
+            "revealed_unreceipted": [[h.hex(), t]
+                                     for h, t in self.revealed_unreceipted.items()],
             "next_out_index": self.next_out_index,
             "next_receipt_index": self.next_receipt_index,
             "highest_in_index": self.highest_in_index,
@@ -511,6 +518,7 @@ class ChannelState:
             "resolved_in": sorted(h.hex() for h in self.resolved_in),
             "out_frozen": self.out_frozen,
             "in_frozen": self.in_frozen,
+            "disputed": self.disputed,
         }
 
     @classmethod
@@ -532,8 +540,8 @@ class ChannelState:
             state.last_receipt_received = Receipt.from_jsonable(obj["last_receipt_received"])
         state.last_receipt_leaves = [bytes.fromhex(s) for s in obj["last_receipt_leaves"]]
         state.secrets = {bytes.fromhex(h): bytes.fromhex(s) for h, s in obj["secrets"].items()}
-        state.revealed_unreceipted = dict.fromkeys(
-            bytes.fromhex(h) for h in obj["revealed_unreceipted"])
+        state.revealed_unreceipted = {bytes.fromhex(h): None if t is None else int(t)
+                                      for h, t in obj["revealed_unreceipted"]}
         state.next_out_index = int(obj["next_out_index"])
         state.next_receipt_index = int(obj["next_receipt_index"])
         state.highest_in_index = int(obj["highest_in_index"])
@@ -543,4 +551,5 @@ class ChannelState:
         state.resolved_in = {bytes.fromhex(h) for h in obj["resolved_in"]}
         state.out_frozen = bool(obj["out_frozen"])
         state.in_frozen = bool(obj["in_frozen"])
+        state.disputed = bool(obj["disputed"])
         return state

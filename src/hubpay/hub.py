@@ -2,8 +2,9 @@
 
 The hub is trusted for availability only. Every promise it relays is checked
 against the sender's channel capacity, every outgoing promise expires one
-safety margin before its incoming counterpart, and a background tick claims
-incoming promises on-chain whenever a sender withholds the final receipt.
+safety margin before its incoming counterpart, and a background tick tends
+each revealed, unreceipted incoming promise by the watchdog's rule
+(``watchdog.tend_revealed``), claiming it on-chain before it can be lost.
 All ledger-derived state transitions are driven by observed ledger events,
 never by the submission call itself, so crash recovery replays to the same
 state the live hub reached.
@@ -90,8 +91,8 @@ class RouteContext:
     ``in_channel`` and the hub's forwarded promise on ``out_channel``,
     both under ``hashlock``. The route keeps only the amounts and expiries
     it reads; each promise itself is kept once, on its channel's books
-    (``pending_in`` and ``pending_out``) while it is unresolved, and a
-    claim reads it from there."""
+    (``pending_in`` and ``pending_out``) while it is unresolved, and the
+    preimage once, in the incoming channel's ``secrets``."""
 
     payment_id: str
     hashlock: bytes
@@ -102,39 +103,13 @@ class RouteContext:
     out_amount: int
     out_expiry: int
     state: str = ROUTE_AWAIT_SECRET
-    preimage: bytes | None = None
-    claim_submitted: bool = False
 
     def to_jsonable(self) -> dict:
-        return {
-            "payment_id": self.payment_id,
-            "hashlock": self.hashlock.hex(),
-            "in_channel": self.in_channel,
-            "out_channel": self.out_channel,
-            "in_amount": self.in_amount,
-            "in_expiry": self.in_expiry,
-            "out_amount": self.out_amount,
-            "out_expiry": self.out_expiry,
-            "state": self.state,
-            "preimage": self.preimage.hex() if self.preimage else None,
-            "claim_submitted": self.claim_submitted,
-        }
+        return dict(vars(self), hashlock=self.hashlock.hex())
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "RouteContext":
-        return cls(
-            payment_id=obj["payment_id"],
-            hashlock=bytes.fromhex(obj["hashlock"]),
-            in_channel=obj["in_channel"],
-            out_channel=obj["out_channel"],
-            in_amount=int(obj["in_amount"]),
-            in_expiry=int(obj["in_expiry"]),
-            out_amount=int(obj["out_amount"]),
-            out_expiry=int(obj["out_expiry"]),
-            state=obj["state"],
-            preimage=bytes.fromhex(obj["preimage"]) if obj["preimage"] else None,
-            claim_submitted=bool(obj["claim_submitted"]),
-        )
+        return cls(**dict(obj, hashlock=bytes.fromhex(obj["hashlock"])))
 
 
 class HubStore:
@@ -545,8 +520,8 @@ class HubCore:
                 self.receipts_owed.add(ctx.out_channel)
             else:
                 out_state.accept_secret(resolved, self.sk_for(out_state.params.ledger_id), now)
-            ctx.preimage = secret.preimage
             ctx.state = ROUTE_SECRET_HELD
+            self.channels[ctx.in_channel].secrets[ctx.hashlock] = secret.preimage
             self._note("secret_accepted", payment=ctx.payment_id)
         if ctx.state in (ROUTE_SECRET_HELD, ROUTE_SETTLED_IN, ROUTE_SETTLED_OUT):
             # idempotent: a retransmitted secret re-triggers the same replies.
@@ -556,8 +531,8 @@ class HubCore:
             if (ctx.hashlock in out_state.resolved_out and not out_state.receipt_owed()
                     and self._should_send_receipt()):
                 outbox.append((src, receipt_message(receipt, ctx.payment_id)))
-            if ctx.state == ROUTE_SECRET_HELD and self._should_forward_secret(ctx):
-                outbox.append(self._forward_secret(ctx))
+            if ctx.state == ROUTE_SECRET_HELD:
+                outbox += self._forward_secret(ctx, now)
         return outbox
 
     def flush_receipts(self, now: int) -> list[tuple[str, WireMessage]]:
@@ -588,19 +563,26 @@ class HubCore:
         self.receipts_owed.clear()
         return outbox
 
-    def _forward_secret(self, ctx: RouteContext) -> tuple[str, WireMessage]:
-        """Reveal the held preimage to the sender; the incoming channel books
-        now await the sender's receipt."""
+    def _forward_secret(self, ctx: RouteContext, now: int) -> list[tuple[str, WireMessage]]:
+        """Reveal the held preimage to the sender. The books count it as
+        revealed even when the hook withholds it, so the watchdog's rule
+        claims the incoming promise if no receipt covers it."""
         in_state = self.channels[ctx.in_channel]
-        in_state.secrets[ctx.hashlock] = ctx.preimage
-        if ctx.hashlock in in_state.pending_in:
-            in_state.reveal_secret(ctx.hashlock)
-        sender = in_state.params.client_id
-        return (sender, WireMessage(K_SECRET, {
-            "payment_id": ctx.payment_id,
-            "secret": SecretMessage(ctx.in_channel, ctx.hashlock,
-                                    ctx.preimage).to_jsonable(),
-        }))
+        if ctx.hashlock not in in_state.pending_in:
+            return []
+        return self._secret_messages(in_state, [in_state.reveal_secret(ctx.hashlock, now)])
+
+    def _secret_messages(self, in_state: ChannelState,
+                         secrets: list[SecretMessage]) -> list[tuple[str, WireMessage]]:
+        outbox = []
+        for secret in secrets:
+            ctx = self.routes[secret.hashlock]
+            if self._should_forward_secret(ctx):
+                outbox.append((in_state.params.client_id, WireMessage(K_SECRET, {
+                    "payment_id": ctx.payment_id,
+                    "secret": secret.to_jsonable(),
+                })))
+        return outbox
 
     def _on_receipt(self, src: str, body: dict, now: int) -> list[tuple[str, WireMessage]]:
         receipt = Receipt.from_jsonable(body["receipt"])
@@ -653,7 +635,7 @@ class HubCore:
 
     def hub_tick(self, now: int) -> list[tuple[str, WireMessage]]:
         """Background handler, run once per tick: react to ledger events,
-        claim endangered routes, expire promises, progress disputes, and
+        tend held secrets, expire promises, progress disputes, and
         last, seal the promises and sign the receipts the tick's delivery
         batch left. The receipts' roots then omit the promises this tick
         expired, as the payees' books will when the receipts arrive."""
@@ -663,7 +645,7 @@ class HubCore:
         now = entry["now"]
         self._tick_outbox: list[tuple[str, WireMessage]] = []
         self._poll_ledgers(entry)
-        self._claim_endangered_routes(now)
+        self._tend_secrets(now)
         self._sweep_expired(now)
         self._progress_disputes(entry)
         if self.receipts_owed or self.promises_unsealed:
@@ -723,46 +705,44 @@ class HubCore:
             elif ctx.out_channel == channel_id and ctx.state == ROUTE_AWAIT_SECRET:
                 # the payee claimed our outgoing promise on-chain and
                 # published the preimage; collect the incoming leg
-                ctx.preimage = bytes.fromhex(payload["preimage"])
                 ctx.state = ROUTE_SECRET_HELD
+                self.channels[ctx.in_channel].secrets[claimed] = bytes.fromhex(payload["preimage"])
                 self._note("preimage_harvested", payment=ctx.payment_id)
-                if self._should_forward_secret(ctx):
-                    self._tick_outbox.append(self._forward_secret(ctx))
+                self._tick_outbox += self._forward_secret(ctx, now)
         elif event.kind == EV_CLOSED:
             self.closed_channels[channel_id] = payload["settlement"]
             self._note("channel_closed", channel=channel_id,
                        settlement=payload["settlement"])
             for hashlock in sorted(self.active_routes):
                 ctx = self.routes[hashlock]
-                if channel_id in (ctx.in_channel, ctx.out_channel):
+                if ctx.state == ROUTE_SECRET_HELD and ctx.in_channel == channel_id:
+                    # closed before a receipt or a claim paid the hub
+                    self._route_done(ctx, ROUTE_EXPIRED)
+                    self._note("route_lost", payment=ctx.payment_id)
+                elif ctx.state == ROUTE_AWAIT_SECRET and channel_id in (ctx.in_channel,
+                                                                        ctx.out_channel):
                     self._route_done(ctx, ROUTE_EXPIRED)
 
     def _route_done(self, ctx: RouteContext, state: str) -> None:
         ctx.state = state
         self.active_routes.discard(ctx.hashlock)
 
-    def _claim_endangered_routes(self, now: int) -> None:
-        delta = self.config.claim_margin_delta
-        for hashlock in sorted(self.active_routes):
-            ctx = self.routes[hashlock]
-            if ctx.state != ROUTE_SECRET_HELD or ctx.claim_submitted:
+    def _tend_secrets(self, now: int) -> None:
+        """Run the watchdog's rule on each channel. The hub re-sends a
+        secret only once, as its promise comes within two margins of
+        expiry: a busy payer can leave many promises unreceipted for a
+        while, and re-sending each every few ticks would flood it."""
+        for channel_id in sorted(self.channels):
+            state = self.channels[channel_id]
+            if not state.revealed_unreceipted:
                 continue
-            if now >= ctx.in_expiry or ctx.in_expiry - now > delta:
-                continue
-            state = self.channels[ctx.in_channel]
-            promise = state.pending_in.get(hashlock)
-            if promise is None:
-                continue
-            ledger = self.ledgers[state.params.ledger_id]
-            ctx.claim_submitted = True
-            try:
-                self._ledger_call(ledger.claim_promise, ctx.in_channel, self.config.hub_id,
-                                  promise, ctx.preimage,
-                                  watchdog.claim_proof(ledger, state, promise))
-                self._note("claimed_incoming", payment=ctx.payment_id,
-                           channel=ctx.in_channel)
-            except HubpayError as exc:
-                self._note("claim_failed", payment=ctx.payment_id, code=exc.code)
+            ledger = None if self.replaying else self.ledgers[state.params.ledger_id]
+            secrets = watchdog.tend_revealed(
+                ledger, state, self.config.hub_id, now,
+                margin=self.config.claim_margin_delta, closing=False, resend_every=None,
+                payment_of=lambda hashlock: self.routes[hashlock].payment_id,
+                note=partial(self._note, channel=channel_id))
+            self._tick_outbox += self._secret_messages(state, secrets)
 
     def _sweep_expired(self, now: int) -> None:
         for channel_id in sorted(self.channels):

@@ -3,9 +3,10 @@
 A wallet owns exactly one channel with the hub. Sending follows the payer
 leg (promise out, secret in, receipt out) and receiving follows the payee
 leg (proposal out, promise in, secret out, receipt in). The tick handler
-deletes expired promises, re-sends unanswered secrets, claims
-about-to-expire promises on-chain, answers disputes, and drives channel
-closure down the cooperative path first and the dispute path on timeout.
+deletes expired promises, re-sends unanswered secrets and claims promises
+on-chain by the watchdog's rule (``watchdog.tend_revealed``), answers
+disputes, and drives channel closure down the cooperative path first and the
+dispute path on timeout.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ class PaymentFlow:
     promise: Promise | None = None
     outcome: str | None = None
     reason: str | None = None
-    claim_submitted: bool = False
-    last_secret_at: int = -10**9
 
 
 @dataclass
@@ -433,13 +432,14 @@ class WalletCore:
             self._note("secret_withheld", payment=flow.payment_id)
             flow.state = P_AWAIT_RECEIPT  # never reveals; promise will expire
             return []
-        secret = self.state.reveal_secret(promise.hashlock)
         flow.state = P_AWAIT_RECEIPT
-        flow.last_secret_at = now
-        return [("hub", WireMessage(K_SECRET, {
-            "payment_id": flow.payment_id,
+        return [self._secret_message(self.state.reveal_secret(promise.hashlock, now))]
+
+    def _secret_message(self, secret: SecretMessage) -> tuple[str, WireMessage]:
+        return ("hub", WireMessage(K_SECRET, {
+            "payment_id": self.flow_by_hashlock.get(secret.hashlock),
             "secret": secret.to_jsonable(),
-        }))]
+        }))
 
     def _on_secret(self, body: dict, now: int) -> list[tuple[str, WireMessage]]:
         secret = SecretMessage.from_jsonable(body["secret"])
@@ -518,7 +518,13 @@ class WalletCore:
             return outbox
         self._expire(now)
         outbox.extend(self.flush_receipts(now))
-        outbox.extend(self._payee_maintenance(now))
+        if self.state.revealed_unreceipted:
+            for secret in watchdog.tend_revealed(
+                    self.ledger, self.state, self.client_id, now,
+                    margin=self.config.claim_threshold, closing=self.closing,
+                    resend_every=self.config.poll_interval,
+                    payment_of=self.flow_by_hashlock.get, note=self._note):
+                outbox.append(self._secret_message(secret))
         outbox.extend(self.close_messages(now))
         return outbox
 
@@ -564,53 +570,11 @@ class WalletCore:
                 if flow.promise is not None and now >= flow.promise.expiry:
                     self._finish(flow, OUT_FAILED, "Timeout")
             elif flow.role == "payee":
-                promise_dead = (flow.promise is not None and now >= flow.promise.expiry
-                                and not flow.claim_submitted)
+                promise_dead = flow.promise is not None and now >= flow.promise.expiry
                 invoice_dead = (flow.promise is None and flow.proposal is not None
                                 and now >= flow.proposal.expiry)
                 if promise_dead or invoice_dead:
                     self._finish(flow, OUT_FAILED, "Timeout")
-
-    def _submit_claim(self, flow: PaymentFlow, now: int) -> None:
-        assert self.state is not None and flow.promise is not None
-        promise = flow.promise
-        preimage = self.state.secrets.get(promise.hashlock)
-        if preimage is None or now >= promise.expiry:
-            return
-        flow.claim_submitted = True
-        try:
-            self.ledger.claim_promise(self.channel_id, self.client_id, promise, preimage,
-                                      watchdog.claim_proof(self.ledger, self.state, promise))
-            self._note("claimed_onchain", payment=flow.payment_id)
-        except HubpayError as exc:
-            flow.claim_submitted = False
-            self._note("claim_failed", payment=flow.payment_id, code=exc.code)
-
-    def _payee_maintenance(self, now: int) -> list[tuple[str, WireMessage]]:
-        assert self.state is not None
-        outbox = []
-        for payment_id in sorted(self.open_flows):
-            flow = self.flows[payment_id]
-            if (flow.role != "payee" or flow.state != P_AWAIT_RECEIPT
-                    or flow.promise is None):
-                continue
-            if flow.promise.hashlock not in self.state.pending_in:
-                continue
-            if flow.promise.hashlock not in self.state.revealed_unreceipted:
-                continue  # secret deliberately withheld
-            if flow.claim_submitted:
-                continue
-            danger = flow.promise.expiry - now <= self.config.claim_threshold
-            if danger or self.closing:
-                self._submit_claim(flow, now)
-            elif now - flow.last_secret_at >= self.config.poll_interval:
-                secret = self.state.reveal_secret(flow.promise.hashlock)
-                flow.last_secret_at = now
-                outbox.append(("hub", WireMessage(K_SECRET, {
-                    "payment_id": flow.payment_id,
-                    "secret": secret.to_jsonable(),
-                })))
-        return outbox
 
     def close_messages(self, now: int) -> list[tuple[str, WireMessage]]:
         """Cooperative-close attempt and dispute escalation; called each tick."""

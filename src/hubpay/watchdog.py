@@ -1,12 +1,15 @@
 """On-chain watchdog: one party's reactions to the ledger for one channel.
 
 The hub runs it for each of its channels and the wallet for its one channel,
-both as ``(ledger, state, party_id)``: book deposits and claims into the
-channel state, answer a dispute with the best receipt held, re-prove this
-party's claims against a newer receipt, attach inclusion proofs to claims,
-and finalize once the dispute window has passed. ``note`` is the caller's
-trace hook; only the finalize note names the channel, so a caller with many
-channels binds the channel id into the hook it passes for the rest.
+both as ``(ledger, state, party_id)``: book deposits, claims, disputes and
+closes into the channel state, answer a dispute with the best receipt held,
+re-prove this party's claims against a newer receipt, and finalize once the
+dispute window has passed. It also holds the one rule for an incoming
+promise whose secret this party revealed and no receipt covers yet
+(``tend_revealed``): send the secret again, or claim the promise on-chain.
+``note`` is the caller's trace hook; only the finalize note names the
+channel, so a caller with many channels binds the channel id into the hook
+it passes for the rest.
 """
 
 from __future__ import annotations
@@ -14,10 +17,11 @@ from __future__ import annotations
 from typing import Callable
 
 from .channel import ChannelState
-from .crypto import MerkleProof, merkle_prove
+from .crypto import merkle_prove
 from .errors import HubpayError
 from .ledger import (
     EV_CLAIMED,
+    EV_CLOSED,
     EV_DEPOSITED,
     EV_DISPUTE_OPENED,
     EV_RECEIPT_SUBMITTED,
@@ -25,14 +29,15 @@ from .ledger import (
     Ledger,
     LedgerEvent,
 )
-from .messages import MODE_CONCURRENT, Promise, Receipt
+from .messages import MODE_CONCURRENT, SecretMessage
 
 Note = Callable[..., None]
 
 
 def book_event(state: ChannelState, party_id: str, event: LedgerEvent) -> bytes | None:
-    """Book a deposit or a claim on this channel into ``state``; returns
-    the hashlock of a claim it booked."""
+    """Book a deposit, a claim, a dispute or a close on this channel into
+    ``state``; returns the hashlock of a claim it booked. Once the channel
+    is closed, no revealed promise can be receipted or claimed any more."""
     payload = event.payload
     if event.kind == EV_DEPOSITED:
         if payload["party"] == party_id:
@@ -46,6 +51,10 @@ def book_event(state: ChannelState, party_id: str, event: LedgerEvent) -> bytes 
         else:
             state.note_peer_claimed(hashlock, payload["amount"])
         return hashlock
+    elif event.kind == EV_DISPUTE_OPENED:
+        state.disputed = True
+    elif event.kind == EV_CLOSED:
+        state.revealed_unreceipted.clear()
     return None
 
 
@@ -110,17 +119,6 @@ def refresh_claims(ledger: Ledger, state: ChannelState, party_id: str, note: Not
             note("claim_reprove_failed", code=exc.code)
 
 
-def claim_proof(ledger: Ledger, state: ChannelState,
-                promise: Promise) -> tuple[Receipt, MerkleProof] | None:
-    """The inclusion proof a claim on ``promise`` carries: none until a
-    dispute holds a receipt from the promise's sender."""
-    contract = ledger.contracts.get(state.params.channel_id)
-    if (contract is None or contract.dispute is None
-            or not contract.dispute.receipts.get(promise.sender)):
-        return None
-    return state.inclusion_proof(promise.hashlock)
-
-
 def finalize_when_due(ledger: Ledger, state: ChannelState, now: int, note: Note) -> bool:
     """Submit the settlement of a disputed channel once its window has
     passed. Returns True when it submitted, so the caller submits once."""
@@ -135,3 +133,47 @@ def finalize_when_due(ledger: Ledger, state: ChannelState, now: int, note: Note)
     except HubpayError as exc:
         note("finalize_failed", channel=channel_id, code=exc.code)
     return True
+
+
+def tend_revealed(ledger: Ledger | None, state: ChannelState, party_id: str, now: int, *,
+                  margin: int, closing: bool, resend_every: int | None,
+                  payment_of: Callable[[bytes], str | None],
+                  note: Note) -> list[SecretMessage]:
+    """The rule for each incoming promise whose secret this party revealed
+    and no receipt covers yet, run once per tick. Claim it on-chain, once
+    (a refused claim is not tried again), when the channel is closing (a
+    dispute is booked, or ``closing``) or ``expiry - now <= margin``.
+    Otherwise send the secret again, so the payer answers with its latest
+    receipt: every ``resend_every`` ticks (None: never), and once as the
+    promise comes within ``2 * margin`` of expiry. Returns the secrets to
+    send. ``ledger`` None books claims without submitting them (journal
+    replay); ``payment_of`` names a promise's payment in the notes."""
+    claims: list[bytes] = []
+    resends: list[bytes] = []
+    for hashlock, sent_at in state.revealed_unreceipted.items():
+        expiry = state.pending_in[hashlock].expiry
+        if sent_at is None or now >= expiry:
+            continue
+        if closing or state.disputed or expiry - now <= margin:
+            claims.append(hashlock)
+        elif ((resend_every is not None and now - sent_at >= resend_every)
+              or sent_at < expiry - 2 * margin <= now):
+            resends.append(hashlock)
+    for hashlock in claims:
+        state.revealed_unreceipted[hashlock] = None
+        if ledger is None:
+            continue
+        promise = state.pending_in[hashlock]
+        # the claim carries an inclusion proof once the dispute holds a
+        # receipt from the promise's sender
+        contract = ledger.contracts.get(state.params.channel_id)
+        proof = (state.inclusion_proof(hashlock) if contract is not None
+                 and contract.dispute is not None
+                 and contract.dispute.receipts.get(promise.sender) else None)
+        try:
+            ledger.claim_promise(state.params.channel_id, party_id, promise,
+                                 state.secrets[hashlock], proof)
+            note("claimed_onchain", payment=payment_of(hashlock))
+        except HubpayError as exc:
+            note("claim_failed", payment=payment_of(hashlock), code=exc.code)
+    return [state.reveal_secret(hashlock, now) for hashlock in resends]

@@ -9,15 +9,19 @@ of the change and diff the outputs:
     python tests/report_digests.py > after.txt    # on the change
     diff before.txt after.txt
 
-The 135 runs are the scenario files under ``scenarios/``, the adversary
+The 201 runs are the scenario files under ``scenarios/``, the adversary
 corpus (every behaviour against the hub and against a client, in both
-channel modes), random scenarios 0-99, and ``throughput_bench(3000)`` in
-both modes. The file name keeps pytest from collecting it.
+channel modes), random scenarios 0-99, ``throughput_bench(3000)`` in both
+modes, and the runs of ``probes.py`` (the payer-side dispute probe at four
+close ticks and the hub crash sweep, in both modes). The file name keeps
+pytest from collecting it.
 
 A change to the protocol's messages alters the digests of the runs it
 touches on purpose. ``--outcomes`` prints ``name payments_paid
 final_balances`` per run instead, so the same diff then shows that every
-run still moved the same money and paid the same payments:
+run still moved the same money and paid the same payments. A run whose
+trace notes a lost route or a refused claim also gets ``route_lost=N`` or
+``claim_failed=N`` at the end of its line:
 
     python tests/report_digests.py --outcomes > outcomes.txt
 """
@@ -36,9 +40,13 @@ sys.path.insert(0, str(ROOT / "src"))
 from hubpay.messages import MODES  # noqa: E402
 from hubpay.scenarios import DIRECTIVES, adversary_scenario, random_scenario  # noqa: E402
 from hubpay.simnet import load_scenario, run_scenario, throughput_bench  # noqa: E402
+from probes import crash_sweep, dispute_probes  # noqa: E402
 
 N_RANDOM = 100
 BENCH_PAYMENTS = 3000
+# notes that mark money at risk: a route closed or expired unpaid, and a
+# claim the ledger refused
+COUNTED_NOTES = ("route_lost", "claim_failed")
 
 
 def runs():
@@ -55,13 +63,19 @@ def runs():
     for mode in sorted(MODES):
         yield (f"bench-{mode}-{BENCH_PAYMENTS}",
                lambda mode=mode: throughput_bench(BENCH_PAYMENTS, mode=mode))
+    for name, scenario in [*dispute_probes(), *crash_sweep()]:
+        yield name, lambda s=scenario: run_scenario(s)
 
 
 def outcome_line(report) -> str:
     """Payments paid and final balances, without anything that depends on
-    message bytes."""
+    message bytes, then the count of each note in ``COUNTED_NOTES`` the run
+    made, when nonzero."""
     balances = json.dumps(report.final_balances, sort_keys=True, separators=(",", ":"))
-    return f"{report.metrics['payments_paid']} {balances}"
+    notes = [e["action"] for e in report.trace if e["ev"] == "note"]
+    counts = "".join(f" {kind}={notes.count(kind)}" for kind in COUNTED_NOTES
+                     if kind in notes)
+    return f"{report.metrics['payments_paid']} {balances}{counts}"
 
 
 def main(argv: list[str] | None = None) -> int:

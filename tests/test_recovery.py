@@ -18,6 +18,7 @@ from hubpay.scenarios import DIRECTIVES, adversary_scenario, cross_ledger, happy
 from hubpay.simnet import World, load_scenario
 from hubpay.wire import K_CLOSE_REQUEST, K_PROMISE, K_PROPOSAL_RELAY, WireMessage
 
+from probes import dispute_probes, hub_crash
 from test_hub import build_hub, fund, make_client_promise, register, route_one
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -46,6 +47,10 @@ def simulated_runs():
             for directive in DIRECTIVES:
                 yield (f"adv-{target}-{directive}-{mode}",
                        adversary_scenario(directive, target, mode=mode))
+        # a re-sent secret recovers a receipt lost in a hub crash
+        yield f"hub-crash-12-{mode}", hub_crash(12, mode)
+    # the hub claims at once on a booked dispute
+    yield from dispute_probes()
 
 
 RUNS = dict(simulated_runs())
@@ -189,5 +194,5 @@ def test_snapshot_keeps_the_reveal_order():
         state.reveal_secret(hashlock)
     assert list(state.revealed_unreceipted) == hashlocks
     saved = state.to_jsonable()
-    assert saved["revealed_unreceipted"] == [h.hex() for h in hashlocks]
+    assert [h for h, _ in saved["revealed_unreceipted"]] == [h.hex() for h in hashlocks]
     assert ChannelState.from_jsonable(json.loads(json.dumps(saved))).to_jsonable() == saved
